@@ -20,7 +20,7 @@ type BenchMetric struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// Baseline is the schema of BENCH_PR3.json: the tracked performance
+// Baseline is the schema of BENCH_PR9.json: the tracked performance
 // floor future PRs regress against. Panels/sec is the headline number
 // (single-worker Lab throughput on the Fig. 4 panel); the Fig. 1–4
 // experiment benchmarks pin the per-protocol costs.
@@ -91,20 +91,13 @@ func measureFigBenchmarks(w io.Writer) (map[string]BenchMetric, error) {
 	return out, nil
 }
 
-// resolveBaselinePath maps the special value "auto" to the newest
-// committed baseline present on disk: BENCH_PR9.json (which records
-// the batched-path fleet allocs and throughput) when it exists,
-// BENCH_PR3.json otherwise. Explicit paths pass through untouched.
+// resolveBaselinePath maps the special value "auto" to the committed
+// baseline, BENCH_PR9.json. Explicit paths pass through untouched.
 func resolveBaselinePath(path string) string {
-	if path != "auto" {
-		return path
+	if path == "auto" {
+		return "BENCH_PR9.json"
 	}
-	for _, candidate := range []string{"BENCH_PR9.json", "BENCH_PR3.json"} {
-		if _, err := os.Stat(candidate); err == nil {
-			return candidate
-		}
-	}
-	return "BENCH_PR3.json"
+	return path
 }
 
 // writeBaseline measures the figure benchmarks and writes the full

@@ -88,38 +88,14 @@ func TestBaselineRoundTripAndCheck(t *testing.T) {
 	}
 }
 
-// TestResolveBaselinePath: "auto" prefers BENCH_PR9.json over
-// BENCH_PR3.json when present; explicit paths pass through.
+// TestResolveBaselinePath: "auto" names the committed BENCH_PR9.json;
+// explicit paths pass through.
 func TestResolveBaselinePath(t *testing.T) {
 	if got := resolveBaselinePath("whatever.json"); got != "whatever.json" {
 		t.Fatalf("explicit path rewritten to %q", got)
 	}
-	dir := t.TempDir()
-	cwd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer os.Chdir(cwd) //nolint:errcheck // best-effort restore
-
-	// Neither file exists: fall back to the PR 3 name (readBaseline will
-	// report the missing file with its real name).
-	if got := resolveBaselinePath("auto"); got != "BENCH_PR3.json" {
-		t.Fatalf("auto with no baselines resolved to %q", got)
-	}
-	if err := os.WriteFile("BENCH_PR3.json", []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := resolveBaselinePath("auto"); got != "BENCH_PR3.json" {
-		t.Fatalf("auto without PR 9 baseline resolved to %q", got)
-	}
-	if err := os.WriteFile("BENCH_PR9.json", []byte("{}"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if got := resolveBaselinePath("auto"); got != "BENCH_PR9.json" {
-		t.Fatalf("auto with both baselines resolved to %q", got)
+		t.Fatalf("auto resolved to %q", got)
 	}
 }
 

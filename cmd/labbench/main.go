@@ -291,7 +291,7 @@ func main() {
 		seed      = flag.Uint64("seed", 9, "platform and cohort seed")
 		quick     = flag.Bool("quick", false, "CI smoke: 16 patients, workers 1,2 (and shards 1,2 with -fleet)")
 		jsonOut   = flag.String("json", "", "write a performance baseline (panels/sec + Fig. 1-4 benchmarks) to this file")
-		baseline  = flag.String("baseline", "", "compare measured panels/sec against this committed baseline file; \"auto\" prefers BENCH_PR9.json and falls back to BENCH_PR3.json")
+		baseline  = flag.String("baseline", "", "compare measured panels/sec against this committed baseline file; \"auto\" means BENCH_PR9.json")
 		tolerance = flag.Float64("tolerance", 0.30, "allowed fractional panels/sec regression vs -baseline before failing")
 	)
 	flag.Parse()

@@ -173,6 +173,12 @@ func buildServer(targets []string, shards, workers, depth int, seed uint64, rout
 	return p, fleet, srv, nil
 }
 
+// idleTimeout closes keep-alive connections that carry no request for
+// this long, so idle clients do not pin sockets on a long-running
+// server. There is deliberately no WriteTimeout: it would cut long
+// /v1/panels/stream responses mid-stream.
+const idleTimeout = 2 * time.Minute
+
 // serve runs the front door until SIGTERM/SIGINT, then drains: intake
 // flips to 503, in-flight requests and accepted panels finish, and the
 // process exits cleanly — the rollout dance a load-balanced deployment
@@ -186,7 +192,7 @@ func serve(addr string, targets []string, shards, workers, depth int, seed uint6
 		shards, workers, p.Targets(), depth, router)
 	fmt.Printf("labserve: listening on %s\n", addr)
 
-	httpSrv := &http.Server{Addr: addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := &http.Server{Addr: addr, Handler: srv, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: idleTimeout}
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})
@@ -647,9 +653,9 @@ func monitorSmokeCohort(monitorable []string, n int) ([]advdiag.MonitorCampaign,
 // scheduler drives the cohort through the HTTP backend of a real
 // loopback server, a second scheduler drives the same cohort over a
 // fresh in-process fleet on the same platform, and the two cohort
-// fingerprints must match bit for bit. The served fleet's monitor
-// results belong to the server's collector, so the in-process
-// reference runs on its OWN fleet — the exclusive-consumer contract.
+// fingerprints must match bit for bit. The reference runs on a fleet
+// of its own, so the comparison pits the whole HTTP path against an
+// untouched in-process baseline.
 func runMonitorSmoke(w *os.File, targets []string, campaigns, shards, workers int, seed uint64) error {
 	p, _, srv, err := buildServer(targets, shards, workers, 2*campaigns, seed, "leastloaded")
 	if err != nil {

@@ -181,8 +181,8 @@ const diagNoiseRatio = 2.5
 // All state is in-memory and all verdicts derive from counter deltas
 // and recorded estimates, never wall-clock time, so the same traffic
 // yields the same diagnosis on every run. A Diagnoser is safe for
-// concurrent use; Quarantine calls happen outside its lock, so result
-// collectors feeding ObservePanel never deadlock against it.
+// concurrent use; Quarantine calls happen outside its lock, so shard
+// workers feeding ObservePanel never deadlock against it.
 type Diagnoser struct {
 	fleet              *Fleet
 	window             int
@@ -347,8 +347,8 @@ func (d *Diagnoser) Observe(st ServerStats) {
 // ObservePanel ingests one panel outcome: every reading with a known
 // true concentration contributes a recovery ratio (estimated over
 // true) to its (shard, target) stream. Failed or rejected outcomes are
-// ignored. Feed it every outcome the fleet delivers — the served
-// Server does so from its result collector.
+// ignored. Feed it every outcome the fleet delivers — the Server does
+// so for each panel it submits, on the worker that completes it.
 func (d *Diagnoser) ObservePanel(o PanelOutcome) {
 	if o.Err != nil || o.Shard < 0 {
 		return

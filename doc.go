@@ -24,19 +24,21 @@
 //   - Explore: the raw design-space exploration, returning every scored
 //     candidate and the area/power/latency Pareto front.
 //
-//   - Lab: the run-time service over a designed Platform. It caches the
+//   - Lab: the batch runner over a designed Platform. It caches the
 //     per-electrode calibration state once (keyed by sensor construction
-//     and seed) and executes panels concurrently — RunPanels for
-//     batches, Submit/Results for streams — with deterministic
-//     per-sample seeding, per-panel timing from the acquisition
-//     schedule, and aggregate throughput/cache statistics.
+//     and seed) and executes a batch of panels concurrently (RunPanels)
+//     with deterministic per-sample seeding, per-panel timing from the
+//     acquisition schedule, and aggregate throughput/cache statistics.
 //
-//   - Fleet: the scale-out dispatcher over many Platforms. Each shard
-//     is a platform with its own worker pool and bounded queue; a
-//     pluggable Router (panel-type affinity, least-loaded, or
-//     consistent-hash by patient) places each sample, Submit blocks on
-//     backpressure while TrySubmit sheds load with ErrFleetSaturated,
-//     and FleetStats aggregates the per-shard service counters.
+//   - Fleet: the one intake for everything that arrives over time, over
+//     one or many Platforms. Each shard is a platform with its own
+//     workers and bounded queue; a pluggable Router (panel-type
+//     affinity, least-loaded, or consistent-hash by patient) places each
+//     sample, Submit blocks on backpressure while TrySubmit sheds load
+//     with ErrFleetSaturated, and FleetStats aggregates the per-shard
+//     service counters. Any number of submitters share one Fleet:
+//     streaming Submit callers, RunPanels batches, a Server and a
+//     MonitorScheduler.
 //
 //   - Server and Client: the network front door over a Fleet and its
 //     Go twin, speaking the versioned JSON wire format of the
@@ -77,16 +79,16 @@
 //	│      advdiag.Server (HTTP front door)    │
 //	│  wire format ▸ 429 backpressure ▸ drain  │
 //	└──────────────────┬───────────────────────┘
-//	                   │ TrySubmit / Results
+//	                   │ jobs that carry their own reply
 //	┌──────────────────▼───────────────────────┐
 //	│            advdiag.Fleet                 │
 //	│  Router ▸ shard queues ▸ FleetStats      │
 //	└───────┬──────────┬──────────┬────────────┘
 //	        │ shard 0  │ shard 1  │ shard N-1
 //	┌───────▼──┐  ┌────▼─────┐  ┌─▼────────┐
-//	│ advdiag. │  │ advdiag. │  │ advdiag. │
-//	│   Lab    │  │   Lab    │  │   Lab    │
-//	│ batching · streaming · stats · timing │
+//	│  shard   │  │  shard   │  │  shard   │
+//	│ workers  │  │ workers  │  │ workers  │
+//	│ batching · cancellation · stats       │
 //	└───────┬──────────┬──────────┬─────────┘
 //	        └──────────┼──────────┘
 //	┌──────────────────▼───────────────────────┐
@@ -96,9 +98,10 @@
 //	└──────────────────────────────────────────┘
 //
 // Platform.RunPanel is the zero-concurrency adapter over the same
-// Executor (it runs with the raw platform seed); a Lab is one shard's
-// worth of service; a Fleet multiplexes samples across shards without
-// ever touching execution logic. Because a Lab or Fleet sample's noise
+// Executor (it runs with the raw platform seed); a Lab runs batches
+// through the same per-platform execution core every Fleet shard
+// drives; a Fleet multiplexes samples across shards without ever
+// touching execution logic. Because a Lab or Fleet sample's noise
 // stream is seeded from the base seed and its submission index alone
 // (runtime.SampleSeed), the two serving layers are bit-for-bit
 // interchangeable: a Lab at any worker count and a Fleet at any shard
@@ -107,9 +110,11 @@
 // service's first accepted sample; see Fleet's determinism note for
 // reused dispatchers).
 //
-// Use a Lab when one platform design serves all traffic and a single
-// machine's worker pool is enough. Use a Fleet when traffic mixes
-// panel types that belong on different platform designs (route by
+// Use a Lab for whole batches on one platform design — it is the local
+// reference the serving stack is checked against. Use a Fleet for
+// everything that arrives over time (a one-shard Fleet is the
+// streaming twin of a Lab), and grow it when traffic mixes panel
+// types that belong on different platform designs (route by
 // AffinityRouter), when one instrument's throughput ceiling is the
 // bottleneck (identical shards behind LeastLoadedRouter), or when
 // per-patient affinity matters for longitudinal tracking (HashRouter).
@@ -131,10 +136,13 @@
 //	GET  /v1/diagnosis     wire.Diagnosis: classified findings + quarantine set
 //	GET  /healthz          200 while serving, 503 while draining
 //
-// Backpressure is explicit: every submission uses Fleet.TrySubmit, so
-// a saturated shard queue is HTTP 429 (ErrFleetSaturated through the
-// Client) rather than a blocked handler, and every reject is counted
-// in /v1/stats. The wire format is lossless for float64, so results
+// Backpressure is explicit: every submission sheds like
+// Fleet.TrySubmit, so a saturated shard queue is HTTP 429
+// (ErrFleetSaturated through the Client) rather than a blocked
+// handler, and every reject is counted in /v1/stats. Each submitted job
+// carries its own reply and its request's context: the Server needs
+// no exclusive ownership of its Fleet, and a request whose client left
+// before its job reached a worker is dropped without running. The wire format is lossless for float64, so results
 // fetched through the Client carry fingerprints byte-identical to a
 // local Lab run of the same batch. cmd/labserve is the deployable
 // front door (graceful SIGTERM drain); examples/remote shows the whole
@@ -163,8 +171,7 @@
 //
 // The diagnosis loop sits beside the serving path, never in it: the
 // Server feeds the Diagnoser what it already has (a stats snapshot on
-// each GET /v1/diagnosis, panel outcomes as the collector sees them),
-// and
+// each GET /v1/diagnosis, the outcome of every panel it submits), and
 // the Diagnoser acts back on the Fleet only when it convicts:
 //
 //	            GET /v1/diagnosis
@@ -320,7 +327,7 @@
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples
-//     using pooled scratch arenas (sync.Pool), Lab chunks its queue
+//     using pooled scratch arenas (sync.Pool), Lab chunks its batches
 //     through it, and Fleet shards opportunistically coalesce queued
 //     compatible jobs into bounded batches (at most 16) without
 //     reordering submission indices — the per-panel seed derivation
@@ -355,6 +362,5 @@
 // -baseline auto diffs against it), and a "labload" section with
 // per-codec request-latency percentiles and wire-isolated codec
 // throughput (cmd/labload -json regenerates that half, -baseline diffs
-// p99 and wire panels/sec). BENCH_PR3.json is the pre-batching PR 3
-// baseline, kept for history.
+// p99 and wire panels/sec).
 package advdiag

@@ -1,9 +1,10 @@
 // Monitoring: continuous measurement two ways. First the paper's Fig. 3
 // experiment — one glucose sensor, repeated injections, the ~30 s
 // transient. Then the platform version: a stream of timed samples
-// submitted to a Lab, each panel stamped onto the instrument timeline
-// derived from the acquisition schedule — longitudinal monitoring as a
-// service rather than a single bench experiment.
+// submitted to a one-shard Fleet, each panel stamped onto the
+// instrument timeline derived from the acquisition schedule —
+// longitudinal monitoring as a service rather than a single bench
+// experiment.
 package main
 
 import (
@@ -54,7 +55,7 @@ func main() {
 		fmt.Printf("  %5.0f s %8.4f µA |%s\n", mon.TimesSeconds[i], mon.CurrentsMicroAmps[i], bar)
 	}
 
-	// --- Part 2: longitudinal panels through the Lab stream. ---------
+	// --- Part 2: longitudinal panels through a one-shard Fleet. -------
 	// One patient, eight consecutive panel cycles; glucose climbs and
 	// lactate follows — the glucose/lactate pair of the paper's
 	// metabolic monitoring scenario. Samples are submitted as they
@@ -65,7 +66,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lab, err := advdiag.NewLab(platform)
+	fleet, err := advdiag.NewFleet([]*advdiag.Platform{platform})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func main() {
 	const cycles = 8
 	go func() {
 		for k := 0; k < cycles; k++ {
-			err := lab.Submit(advdiag.Sample{
+			err := fleet.Submit(advdiag.Sample{
 				ID: fmt.Sprintf("cycle-%d", k+1),
 				Concentrations: map[string]float64{
 					"glucose": 2.0 + 0.5*float64(k),
@@ -84,11 +85,11 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		lab.Close()
+		fleet.Close()
 	}()
 
 	var outs []advdiag.PanelOutcome
-	for out := range lab.Results() {
+	for out := range fleet.Results() {
 		if out.Err != nil {
 			log.Fatalf("%s: %v", out.ID, out.Err)
 		}
@@ -108,5 +109,5 @@ func main() {
 			out.ScheduledStartSeconds, g.EstimatedMM, g.TrueMM, l.EstimatedMM, l.TrueMM)
 	}
 	fmt.Println()
-	fmt.Println(lab.Stats())
+	fmt.Println(fleet.Stats().Shards[0].Lab)
 }

@@ -1,6 +1,7 @@
 package advdiag
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,12 +25,11 @@ var ErrFleetSaturated = errors.New("advdiag: fleet shard queue is full")
 var ErrFleetClosed = errors.New("advdiag: fleet is closed")
 
 // Fleet is a sharded multi-platform dispatcher: N shards, each a
-// designed Platform with its own worker pool and bounded input queue,
-// behind one routing front door. It is the scale-out layer above the
-// Lab — where a Lab serves one platform, a Fleet multiplexes
-// heterogeneous panel traffic across many (possibly different)
-// platforms, the way a clinical integration layer multiplexes assay
-// requests across backend analyzers.
+// designed Platform with its own workers and bounded input queue,
+// behind one routing front door. Where a Lab runs batches on one
+// platform, a Fleet multiplexes heterogeneous panel traffic across many
+// (possibly different) platforms, the way a clinical integration layer
+// multiplexes assay requests across backend analyzers.
 //
 // Determinism: every accepted sample gets a fleet-wide submission
 // index, and its noise stream is seeded from the fleet seed and that
@@ -38,12 +38,11 @@ var ErrFleetClosed = errors.New("advdiag: fleet is closed")
 // policy chose the shard therefore never influence the result: for the
 // same submission sequence, a Fleet of identical platforms is
 // byte-identical to a single Lab, at any shard count, under any
-// Router. The index is the fleet's lifetime acceptance counter (like a
-// Lab's streaming Submit counter), so the k-th sample ever accepted
-// matches the k-th sample of the Lab run — a second RunPanels batch on
-// a reused Fleet continues the sequence rather than restarting at 0
-// the way Lab.RunPanels does; compare whole submission histories (or
-// use a fresh Fleet per comparison).
+// Router. The index is the fleet's lifetime acceptance counter, so the
+// k-th sample ever accepted matches the k-th sample of the Lab run — a
+// second RunPanels batch on a reused Fleet continues the sequence
+// rather than restarting at 0 the way Lab.RunPanels does; compare whole
+// submission histories (or use a fresh Fleet per comparison).
 //
 // The contract survives topology changes: AddShard and RemoveShard
 // reshape the fleet under live load, so "byte-identical to one fixed
@@ -58,6 +57,13 @@ var ErrFleetClosed = errors.New("advdiag: fleet is closed")
 // TrySubmit returns ErrFleetSaturated instead of blocking (explicit
 // load-shedding for latency-sensitive front ends). Rejections are
 // counted in FleetStats.
+//
+// Any number of submitters may share one Fleet: streaming Submit
+// callers, concurrent RunPanels batches, a Server and an in-process
+// MonitorScheduler. Jobs accepted through RunPanels or a Server carry
+// their own completion target, so their outcomes never appear on
+// Results or MonitorResults, which serve only Submit and SubmitMonitor
+// traffic.
 //
 // Lifecycle: Drain waits for everything accepted so far to finish
 // (keep consuming Results); Close stops intake, drains, and closes
@@ -108,11 +114,11 @@ type Fleet struct {
 	eventSeq int
 }
 
-// fleetShard is one backend: a Lab over its platform plus the shard's
-// dispatch state.
+// fleetShard is one backend: an execution core over its platform plus
+// the shard's dispatch state.
 type fleetShard struct {
 	index   int
-	lab     *Lab
+	core    *execCore
 	targets []string
 	queue   chan fleetJob
 	// fault is the shard's armed fault state; nil is the healthy fast
@@ -156,7 +162,7 @@ type fleetShard struct {
 	// order on the shard.
 	sched int
 	// pending counts samples accepted for this shard and not yet
-	// delivered to Results (queued + executing). It is guarded by the
+	// delivered (queued + executing). It is guarded by the
 	// Fleet mutex and updated at accept/complete time, so the router's
 	// load snapshot never loses sight of a job in the dequeue window.
 	pending int
@@ -171,10 +177,37 @@ type fleetShard struct {
 // (ordering only — the request carries its own seed) and schedIdx is
 // unused, because monitor campaigns live on a virtual timeline, not
 // the shard's back-to-back instrument schedule.
+//
+// A job travels with its completion target through queues, reroutes,
+// parking and stalls: done (panels) or mdone (monitors) receives the
+// outcome when set, Results or MonitorResults when nil. The callbacks
+// run on the worker that completes the job and must not block. ctx,
+// when set, is the requester's context: a job whose ctx is done by the
+// time a worker would run it completes with ctx.Err() without running.
 type fleetJob struct {
 	seedIdx, schedIdx int
 	sample            Sample
 	monitor           *MonitorRequest
+	ctx               context.Context
+	done              func(PanelOutcome)
+	mdone             func(MonitorOutcome)
+}
+
+// abandoned returns the requester's context error once it has gone
+// away, nil while the job should still run.
+func (j *fleetJob) abandoned() error {
+	if j.ctx == nil {
+		return nil
+	}
+	return j.ctx.Err()
+}
+
+// routingSample is the router's view of the job.
+func (j *fleetJob) routingSample() Sample {
+	if j.monitor != nil {
+		return monitorRoutingSample(*j.monitor)
+	}
+	return j.sample
 }
 
 // shardFaultState is the compiled, immutable fault configuration a
@@ -412,13 +445,13 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 	// failure on a later shard must not leak goroutines blocked on the
 	// earlier shards' queues.
 	for i, p := range platforms {
-		lab, err := NewLab(p, WithLabWorkers(f.workers), WithLabSeed(f.seed))
+		core, err := newExecCore(p, f.seed)
 		if err != nil {
 			return nil, fmt.Errorf("advdiag: NewFleet shard %d: %w", i, err)
 		}
 		sh := &fleetShard{
 			index:   i,
-			lab:     lab,
+			core:    core,
 			targets: p.Targets(),
 			queue:   make(chan fleetJob, f.depth),
 		}
@@ -505,28 +538,35 @@ func batchableFault(fs *shardFaultState) bool {
 }
 
 // runJobBatch executes a coalesced run of panel jobs under one fault
-// snapshot and delivers the outcomes in submission order. Fault states
-// injected mid-batch take effect from the next dequeue, exactly as a
-// fault injected mid-panel waits for the next job on the per-job path.
+// snapshot and delivers the outcomes in submission order; abandoned
+// jobs complete first, without running. Fault states injected mid-batch
+// take effect from the next dequeue, exactly as a fault injected
+// mid-panel waits for the next job on the per-job path.
 func (f *Fleet) runJobBatch(sh *fleetShard, jobs []fleetJob, fs *shardFaultState) {
 	var fouling *rt.Fouling
 	if fs != nil {
 		fouling = fs.fouling
 	}
-	if len(jobs) == 1 {
-		f.runJob(sh, jobs[0], fouling)
+	live := jobs[:0]
+	for _, j := range jobs {
+		if err := j.abandoned(); err != nil {
+			f.failJob(sh, j, err)
+			continue
+		}
+		live = append(live, j)
+	}
+	switch len(live) {
+	case 0:
+		return
+	case 1:
+		f.runJob(sh, live[0], fouling)
 		return
 	}
-	lj := make([]labBatchJob, len(jobs))
-	for i, j := range jobs {
-		lj[i] = labBatchJob{seedIdx: j.seedIdx, schedIdx: j.schedIdx, sample: j.sample}
-	}
-	outs := make([]PanelOutcome, len(jobs))
-	sh.lab.runBatch(lj, fouling, outs)
-	for i := range outs {
+	outs := make([]PanelOutcome, len(live))
+	sh.core.runBatch(live, fouling, outs)
+	for i, j := range live {
 		outs[i].Shard = sh.index
-		f.results <- outs[i]
-		f.complete(sh, false)
+		f.finishPanel(sh, j, outs[i])
 	}
 }
 
@@ -547,7 +587,7 @@ func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
 			// stall — re-evaluate against the current state.
 			continue
 		}
-		if fs != nil && fs.delay > 0 {
+		if fs != nil && fs.delay > 0 && job.abandoned() == nil {
 			time.Sleep(fs.delay)
 		}
 		var fouling *rt.Fouling
@@ -586,19 +626,57 @@ func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool
 	return true
 }
 
-// runJob executes one routed job on its shard and delivers the outcome.
+// runJob executes one routed job on its shard and delivers the outcome;
+// an abandoned job completes with its context error without running.
 func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
-	if job.monitor != nil {
-		out := sh.lab.runMonitor(job.seedIdx, *job.monitor)
-		out.Shard = sh.index
-		f.mresults <- out
-		f.complete(sh, true)
+	if err := job.abandoned(); err != nil {
+		f.failJob(sh, job, err)
 		return
 	}
-	out := sh.lab.runIndexed(job.seedIdx, job.schedIdx, job.sample, fouling)
+	if job.monitor != nil {
+		out := sh.core.runMonitor(job.seedIdx, *job.monitor)
+		out.Shard = sh.index
+		f.finishMonitor(sh, job, out)
+		return
+	}
+	out := sh.core.runIndexed(job.seedIdx, job.schedIdx, job.sample, fouling)
 	out.Shard = sh.index
-	f.results <- out
+	f.finishPanel(sh, job, out)
+}
+
+// finishPanel hands a panel outcome to its job's completion target —
+// the submitter's done callback, or Results — and records the
+// completion against sh.
+func (f *Fleet) finishPanel(sh *fleetShard, job fleetJob, o PanelOutcome) {
+	if job.done != nil {
+		job.done(o)
+	} else {
+		f.results <- o
+	}
 	f.complete(sh, false)
+}
+
+// finishMonitor is finishPanel for monitor jobs.
+func (f *Fleet) finishMonitor(sh *fleetShard, job fleetJob, o MonitorOutcome) {
+	if job.mdone != nil {
+		job.mdone(o)
+	} else {
+		f.mresults <- o
+	}
+	f.complete(sh, true)
+}
+
+// failJob completes a job that will never run — abandoned by its
+// requester, or unservable after a reroute — with err in an outcome of
+// its kind, attributed to sh.
+func (f *Fleet) failJob(sh *fleetShard, job fleetJob, err error) {
+	if job.monitor != nil {
+		f.finishMonitor(sh, job, MonitorOutcome{
+			Index: job.seedIdx, ID: job.monitor.ID, Tick: job.monitor.Tick, Shard: sh.index, Err: err,
+		})
+		return
+	}
+	f.finishPanel(sh, job, PanelOutcome{Index: job.seedIdx, ID: job.sample.ID, Shard: sh.index, Err: err})
 }
 
 // parkJob holds a job a dead shard's worker dequeued: the job joins the
@@ -632,18 +710,12 @@ func (f *Fleet) parkJob(sh *fleetShard, fs *shardFaultState, job fleetJob) {
 	}
 }
 
-// complete records one finished job (taking the fleet mutex itself).
+// complete records one finished job of sh's, advancing the completion
+// counters and waking Drain.
 func (f *Fleet) complete(sh *fleetShard, monitor bool) {
+	now := time.Now()
 	f.mu.Lock()
 	sh.pending--
-	f.completeLocked(monitor)
-	f.mu.Unlock()
-}
-
-// completeLocked advances the completion counters and wakes Drain
-// (callers hold f.mu).
-func (f *Fleet) completeLocked(monitor bool) {
-	now := time.Now()
 	if monitor {
 		f.mcompleted++
 	} else {
@@ -653,6 +725,7 @@ func (f *Fleet) completeLocked(monitor bool) {
 		f.last = now
 	}
 	f.cond.Broadcast()
+	f.mu.Unlock()
 }
 
 // snapshotLocked builds the router's view (callers hold f.mu).
@@ -720,68 +793,108 @@ func (f *Fleet) routeLocked(s Sample) (*fleetShard, error) {
 // router's error for unroutable samples and ErrFleetClosed after
 // Close. Consume Results concurrently.
 func (f *Fleet) Submit(s Sample) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFleetClosed
-	}
-	sh, err := f.routeLocked(s)
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	job := f.acceptLocked(sh, s)
-	f.submitWG.Add(1)
-	sh.handoffs.Add(1)
-	f.mu.Unlock()
-
-	defer f.submitWG.Done()
-	sh.queue <- job
-	sh.handoffs.Done()
-	return nil
+	return f.submit([]fleetJob{{sample: s}}, true)[0]
 }
 
 // TrySubmit is Submit without blocking: when the routed shard's queue
 // is full it returns ErrFleetSaturated (counted in FleetStats) and the
 // sample is not accepted.
 func (f *Fleet) TrySubmit(s Sample) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrFleetClosed
-	}
-	sh, err := f.routeLocked(s)
-	if err != nil {
-		return err
-	}
-	select {
-	case sh.queue <- f.acceptLocked(sh, s):
-		return nil
-	default:
-		// Roll back the acceptance: the sample never entered the
-		// queue, so neither the submission index nor the shard slot
-		// may advance (a later Lab comparison would desync).
-		f.submitted--
-		sh.sched--
-		sh.pending--
-		sh.routed.Add(^uint64(0))
-		f.rejected++
-		return ErrFleetSaturated
-	}
+	return f.submit([]fleetJob{{sample: s}}, false)[0]
 }
 
-// acceptLocked assigns the fleet-wide submission index and the shard's
-// instrument slot for one accepted sample (callers hold f.mu).
-func (f *Fleet) acceptLocked(sh *fleetShard, s Sample) fleetJob {
+// SubmitMonitor routes one monitoring acquisition and enqueues it on
+// its shard, blocking while that shard's queue is full. Monitors share
+// the shard queues and workers with panel traffic but keep their own
+// acceptance counter and Results channel; because every monitor
+// carries its own seed, interleaving with panels (or other monitors)
+// never changes any result. Consume MonitorResults concurrently.
+func (f *Fleet) SubmitMonitor(req MonitorRequest) error {
+	return f.submit([]fleetJob{{monitor: &req}}, true)[0]
+}
+
+// TrySubmitMonitor is SubmitMonitor without blocking: when the routed
+// shard's queue is full it returns ErrFleetSaturated (counted in
+// FleetStats.MonitorsRejected) and the request is not accepted.
+func (f *Fleet) TrySubmitMonitor(req MonitorRequest) error {
+	return f.submit([]fleetJob{{monitor: &req}}, false)[0]
+}
+
+// submit routes and accepts jobs under one hold of the fleet lock, so
+// the accepted panels take contiguous submission indices against every
+// other submitter. With wait set, every routable job is accepted and
+// submit blocks, outside the lock, until each has entered its shard
+// queue (Submit's backpressure); without it a job whose shard queue is
+// full is shed with ErrFleetSaturated and its acceptance rolled back
+// (TrySubmit's). errs[i] is jobs[i]'s rejection, nil when accepted.
+func (f *Fleet) submit(jobs []fleetJob, wait bool) []error {
+	errs := make([]error, len(jobs))
+	var handoffs []handoff
+	f.mu.Lock()
+	for i := range jobs {
+		if f.closed {
+			errs[i] = ErrFleetClosed
+			continue
+		}
+		job := &jobs[i]
+		sh, err := f.routeLocked(job.routingSample())
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		f.acceptLocked(sh, job)
+		if wait {
+			handoffs = append(handoffs, f.handoffLocked(sh, *job))
+			continue
+		}
+		select {
+		case sh.queue <- *job:
+		default:
+			f.unacceptLocked(sh, job)
+			errs[i] = ErrFleetSaturated
+		}
+	}
+	f.mu.Unlock()
+	f.deliver(handoffs, nil)
+	return errs
+}
+
+// acceptLocked stamps an accepted job with its acceptance index — the
+// panel submission index or the monitor acceptance index — and, for a
+// panel, the shard's next instrument slot (callers hold f.mu). Monitors
+// never advance the slot counter: campaigns run on a virtual timeline,
+// and panel schedule positions must not depend on monitor traffic.
+func (f *Fleet) acceptLocked(sh *fleetShard, job *fleetJob) {
 	if f.first.IsZero() {
 		f.first = time.Now()
 	}
-	job := fleetJob{seedIdx: f.submitted, schedIdx: sh.sched, sample: s}
-	f.submitted++
-	sh.sched++
+	if job.monitor != nil {
+		job.seedIdx = f.msubmitted
+		f.msubmitted++
+	} else {
+		job.seedIdx, job.schedIdx = f.submitted, sh.sched
+		f.submitted++
+		sh.sched++
+	}
 	sh.pending++
 	sh.routed.Add(1)
-	return job
+}
+
+// unacceptLocked rolls back the acceptance just made for a job that
+// never entered its queue and counts the rejection (callers hold
+// f.mu): neither the acceptance index nor the shard slot may advance,
+// or a later Lab comparison would desync.
+func (f *Fleet) unacceptLocked(sh *fleetShard, job *fleetJob) {
+	if job.monitor != nil {
+		f.msubmitted--
+		f.mrejected++
+	} else {
+		f.submitted--
+		sh.sched--
+		f.rejected++
+	}
+	sh.pending--
+	sh.routed.Add(^uint64(0))
 }
 
 // monitorRoutingSample is the router's view of a monitor request: the
@@ -792,95 +905,27 @@ func monitorRoutingSample(req MonitorRequest) Sample {
 	return Sample{ID: req.ID, Concentrations: map[string]float64{req.Target: req.ConcentrationMM}}
 }
 
-// acceptMonitorLocked assigns the monitor acceptance index for one
-// accepted request (callers hold f.mu). Monitors never advance the
-// shard's instrument slot counter: campaigns run on a virtual
-// timeline, and panel schedule positions must not depend on monitor
-// traffic.
-func (f *Fleet) acceptMonitorLocked(sh *fleetShard, req MonitorRequest) fleetJob {
-	if f.first.IsZero() {
-		f.first = time.Now()
-	}
-	job := fleetJob{seedIdx: f.msubmitted, monitor: &req}
-	f.msubmitted++
-	sh.pending++
-	sh.routed.Add(1)
-	return job
-}
-
-// SubmitMonitor routes one monitoring acquisition and enqueues it on
-// its shard, blocking while that shard's queue is full. Monitors share
-// the shard queues and workers with panel traffic but keep their own
-// acceptance counter and Results channel; because every monitor
-// carries its own seed, interleaving with panels (or other monitors)
-// never changes any result. Consume MonitorResults concurrently.
-func (f *Fleet) SubmitMonitor(req MonitorRequest) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFleetClosed
-	}
-	sh, err := f.routeLocked(monitorRoutingSample(req))
-	if err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	job := f.acceptMonitorLocked(sh, req)
-	f.submitWG.Add(1)
-	sh.handoffs.Add(1)
-	f.mu.Unlock()
-
-	defer f.submitWG.Done()
-	sh.queue <- job
-	sh.handoffs.Done()
-	return nil
-}
-
-// TrySubmitMonitor is SubmitMonitor without blocking: when the routed
-// shard's queue is full it returns ErrFleetSaturated (counted in
-// FleetStats.MonitorsRejected) and the request is not accepted.
-func (f *Fleet) TrySubmitMonitor(req MonitorRequest) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrFleetClosed
-	}
-	sh, err := f.routeLocked(monitorRoutingSample(req))
-	if err != nil {
-		return err
-	}
-	select {
-	case sh.queue <- f.acceptMonitorLocked(sh, req):
-		return nil
-	default:
-		// Roll back the acceptance — the request never entered the
-		// queue.
-		f.msubmitted--
-		sh.pending--
-		sh.routed.Add(^uint64(0))
-		f.mrejected++
-		return ErrFleetSaturated
-	}
-}
-
-// MonitorResults returns the merged monitor output channel. Outcomes
-// arrive in completion order, each tagged with its acceptance Index,
-// campaign ID and Tick, and the Shard that ran it; Close closes the
-// channel once every accepted request has been measured. The channel
-// has a single-consumer contract: a Server's monitor collector or one
-// MonitorScheduler, never both.
+// MonitorResults returns the merged monitor output channel for
+// SubmitMonitor and TrySubmitMonitor traffic. Outcomes arrive in
+// completion order, each tagged with its acceptance Index, campaign ID
+// and Tick, and the Shard that ran it; Close closes the channel once
+// every accepted request has been measured. A Server's monitor
+// requests take delivery themselves and never appear here, so an
+// in-process MonitorScheduler can consume this channel while a Server
+// serves the same fleet.
 func (f *Fleet) MonitorResults() <-chan MonitorOutcome { return f.mresults }
 
-// Results returns the merged output channel. Outcomes arrive in
-// completion order, each tagged with its fleet-wide Index and the
-// Shard that ran it; Close closes the channel once every accepted
-// sample has been measured.
+// Results returns the merged output channel for Submit and TrySubmit
+// traffic (RunPanels and Server outcomes go to their own requesters).
+// Outcomes arrive in completion order, each tagged with its fleet-wide
+// Index and the Shard that ran it; Close closes the channel once every
+// accepted sample has been measured.
 func (f *Fleet) Results() <-chan PanelOutcome { return f.results }
 
 // Drain blocks until every sample accepted before the call has been
-// measured and delivered to Results. Submissions may continue from
-// other goroutines; Drain tracks the count it observed at entry. The
-// caller must keep consuming Results (or rely on its buffering) while
+// measured and delivered. Submissions may continue from other
+// goroutines; Drain tracks the count it observed at entry. The caller
+// must keep consuming Results (or rely on its buffering) while
 // draining. Note that a shard held dead by FaultDeadShard never
 // completes its jobs: Drain then blocks until the shard is quarantined
 // (rerouting its backlog) or the fault is cleared.
@@ -1058,7 +1103,7 @@ func (f *Fleet) liftForQuarantineLocked(sh *fleetShard) {
 // itself (see ProbeShards).
 func (f *Fleet) ClearFaults() {
 	f.mu.Lock()
-	var moves []rerouteMove
+	var moves []handoff
 	var fails []rerouteFail
 	for _, sh := range f.shards {
 		fs := sh.fault.Load()
@@ -1172,12 +1217,12 @@ func (f *Fleet) AddShard(p *Platform) (int, error) {
 	if p == nil || p.inner == nil {
 		return 0, fmt.Errorf("advdiag: AddShard: platform is not designed")
 	}
-	lab, err := NewLab(p, WithLabWorkers(f.workers), WithLabSeed(f.seed))
+	core, err := newExecCore(p, f.seed)
 	if err != nil {
 		return 0, fmt.Errorf("advdiag: AddShard: %w", err)
 	}
 	sh := &fleetShard{
-		lab:     lab,
+		core:    core,
 		targets: p.Targets(),
 		queue:   make(chan fleetJob, f.depth),
 	}
@@ -1305,7 +1350,7 @@ func (f *Fleet) ReplayPanel(shard, index int, s Sample) (PanelResult, error) {
 	if index < 0 {
 		return PanelResult{}, fmt.Errorf("advdiag: replay index %d is negative", index)
 	}
-	p, err := sh.lab.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(f.seed, index), nil)
+	p, err := sh.core.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(f.seed, index), nil)
 	if err != nil {
 		return PanelResult{}, err
 	}
@@ -1327,7 +1372,7 @@ func (f *Fleet) probeBaseline(sh *fleetShard) error {
 		sample[t] = probeConcMM
 	}
 	sh.probeSample = sample
-	p, err := sh.lab.p.exec.RunFouled(sample, f.probeSeed, nil)
+	p, err := sh.core.p.exec.RunFouled(sample, f.probeSeed, nil)
 	if err != nil {
 		return err
 	}
@@ -1356,7 +1401,7 @@ func (f *Fleet) probeOnce(sh *fleetShard) bool {
 	if fs != nil {
 		fouling = fs.fouling
 	}
-	p, err := sh.lab.p.exec.RunFouled(sh.probeSample, f.probeSeed, fouling)
+	p, err := sh.core.p.exec.RunFouled(sh.probeSample, f.probeSeed, fouling)
 	if err != nil {
 		return false
 	}
@@ -1475,83 +1520,69 @@ func (f *Fleet) StartHealthProbes(interval time.Duration) (stop func()) {
 	}
 }
 
-// rerouteMove is one planned reassignment of a quarantined shard's
-// job; rerouteFail one job no surviving shard can serve.
-type rerouteMove struct {
+// handoff is one accepted job bound for a shard queue, enqueued outside
+// the fleet lock by deliver; rerouteFail is one rerouted job no
+// surviving shard can serve.
+type handoff struct {
 	to  *fleetShard
 	job fleetJob
 }
 
 type rerouteFail struct {
+	from *fleetShard
 	job  fleetJob
-	from int
 	err  error
+}
+
+// handoffLocked registers a job's coming enqueue on to (callers hold
+// f.mu). Handoffs race with Close and RemoveShard the way accepted
+// Submits do: registering on submitWG and the destination's handoff
+// count before the lock is released keeps the destination queue open
+// until the job lands.
+func (f *Fleet) handoffLocked(to *fleetShard, job fleetJob) handoff {
+	f.submitWG.Add(1)
+	to.handoffs.Add(1)
+	return handoff{to: to, job: job}
 }
 
 // rerouteLocked plans new homes for a quarantined shard's backlog
 // (callers hold f.mu; deliver executes the plan outside the lock).
-// Moved jobs keep their seed index — determinism travels with the job
-// — but take a fresh instrument slot on their destination's timeline.
-func (f *Fleet) rerouteLocked(from *fleetShard, jobs []fleetJob) ([]rerouteMove, []rerouteFail) {
-	var moves []rerouteMove
+// Moved jobs keep their seed index and completion target — determinism
+// and delivery travel with the job — but take a fresh instrument slot
+// on their destination's timeline. A failed job stays pending on from
+// until deliver completes it.
+func (f *Fleet) rerouteLocked(from *fleetShard, jobs []fleetJob) ([]handoff, []rerouteFail) {
+	var moves []handoff
 	var fails []rerouteFail
 	for _, job := range jobs {
-		rs := job.sample
-		if job.monitor != nil {
-			rs = monitorRoutingSample(*job.monitor)
-		}
-		to, err := f.routeLocked(rs)
-		from.pending--
+		to, err := f.routeLocked(job.routingSample())
 		if err != nil {
-			fails = append(fails, rerouteFail{job: job, from: from.index, err: err})
+			fails = append(fails, rerouteFail{from: from, job: job, err: err})
 			continue
 		}
+		from.pending--
 		to.pending++
 		to.routed.Add(1)
 		if job.monitor == nil {
 			job.schedIdx = to.sched
 			to.sched++
 		}
-		// Deliveries race with Close the same way accepted Submits do:
-		// registering on submitWG (and the destination's handoff count)
-		// before releasing the lock keeps the destination queue open
-		// until the handoff lands.
-		f.submitWG.Add(1)
-		to.handoffs.Add(1)
-		moves = append(moves, rerouteMove{to: to, job: job})
+		moves = append(moves, f.handoffLocked(to, job))
 	}
 	return moves, fails
 }
 
-// deliver executes a reroute plan outside the fleet lock: moved jobs
-// enqueue on their new shards (blocking when those queues are full)
-// and unservable jobs complete with error outcomes.
-func (f *Fleet) deliver(moves []rerouteMove, fails []rerouteFail) {
+// deliver executes handoffs outside the fleet lock: jobs enqueue on
+// their shards (blocking when those queues are full) and unservable
+// reroutes complete with error outcomes.
+func (f *Fleet) deliver(moves []handoff, fails []rerouteFail) {
 	for _, mv := range moves {
 		mv.to.queue <- mv.job
 		mv.to.handoffs.Done()
 		f.submitWG.Done()
 	}
 	for _, fl := range fails {
-		if fl.job.monitor != nil {
-			f.mresults <- MonitorOutcome{
-				Index: fl.job.seedIdx,
-				ID:    fl.job.monitor.ID,
-				Tick:  fl.job.monitor.Tick,
-				Shard: fl.from,
-				Err:   fmt.Errorf("advdiag: rerouting from quarantined shard %d: %w", fl.from, fl.err),
-			}
-		} else {
-			f.results <- PanelOutcome{
-				Index: fl.job.seedIdx,
-				ID:    fl.job.sample.ID,
-				Shard: fl.from,
-				Err:   fmt.Errorf("advdiag: rerouting from quarantined shard %d: %w", fl.from, fl.err),
-			}
-		}
-		f.mu.Lock()
-		f.completeLocked(fl.job.monitor != nil)
-		f.mu.Unlock()
+		f.failJob(fl.from, fl.job, fmt.Errorf("advdiag: rerouting from quarantined shard %d: %w", fl.from.index, fl.err))
 	}
 }
 
@@ -1560,90 +1591,31 @@ func (f *Fleet) deliver(moves []rerouteMove, fails []rerouteFail) {
 // Err: a sample rejected before acceptance (unroutable, or the fleet
 // closed) carries Index and Shard -1, while one that failed during
 // measurement carries its real submission Index and Shard. Successful
-// outcomes carry their fleet-wide submission Index.
+// outcomes carry their fleet-wide submission Index; a batch's accepted
+// samples take contiguous indices.
 //
-// RunPanels drives the same Submit/Results machinery as streaming and
-// owns the Results channel for its duration: it must not run
-// concurrently with Submit, TrySubmit, another RunPanels, or a
-// Results consumer. When switching from streaming to a batch, first
-// Drain and consume every streamed outcome — any outcome still
-// undelivered on Results when RunPanels starts belongs to no batch
-// sample and is discarded.
+// RunPanels blocks on full shard queues like Submit. Each outcome goes
+// straight to its sample's position, never through Results, so
+// RunPanels may run concurrently with Submit, TrySubmit, other
+// RunPanels calls and a Results consumer.
 func (f *Fleet) RunPanels(samples []Sample) []PanelOutcome {
 	out := make([]PanelOutcome, len(samples))
-	f.mu.Lock()
-	base := f.submitted
-	f.mu.Unlock()
-
-	// The k-th accepted sample gets submission index base+k (RunPanels
-	// is the only submitter, per the contract above); accepted[k] maps
-	// it back to its batch position. The collector goroutine reads the
-	// slice concurrently with the submit loop's appends, hence the
-	// mutex.
-	var posMu sync.Mutex
-	var accepted []int
-	place := func(o PanelOutcome) {
-		off := o.Index - base
-		posMu.Lock()
-		ok := off >= 0 && off < len(accepted)
-		pos := 0
-		if ok {
-			pos = accepted[off]
-		}
-		posMu.Unlock()
-		if ok {
-			out[pos] = o
-		}
-	}
-
-	// Drain Results while submitting so bounded queues and the results
-	// buffer cannot deadlock the batch. quit fires after Drain, when
-	// every outcome of this batch has already been sent; the final
-	// non-blocking loop empties what is still buffered.
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case o, ok := <-f.results:
-				if !ok {
-					return
-				}
-				place(o)
-			case <-quit:
-				for {
-					select {
-					case o, ok := <-f.results:
-						if !ok {
-							return
-						}
-						place(o)
-					default:
-						return
-					}
-				}
-			}
-		}
-	}()
-
+	var wg sync.WaitGroup
+	wg.Add(len(samples))
+	jobs := make([]fleetJob, len(samples))
 	for i, s := range samples {
-		// Record the mapping before Submit: the outcome can race ahead
-		// of Submit's return. Roll back when the sample is not
-		// accepted.
-		posMu.Lock()
-		accepted = append(accepted, i)
-		posMu.Unlock()
-		if err := f.Submit(s); err != nil {
-			posMu.Lock()
-			accepted = accepted[:len(accepted)-1]
-			posMu.Unlock()
-			out[i] = PanelOutcome{Index: -1, ID: s.ID, Shard: -1, Err: err}
+		jobs[i] = fleetJob{sample: s, done: func(o PanelOutcome) {
+			out[i] = o
+			wg.Done()
+		}}
+	}
+	for i, err := range f.submit(jobs, true) {
+		if err != nil {
+			out[i] = PanelOutcome{Index: -1, ID: samples[i].ID, Shard: -1, Err: err}
+			wg.Done()
 		}
 	}
-	f.Drain()
-	close(quit)
-	<-done
+	wg.Wait()
 	return out
 }
 
@@ -1768,7 +1740,7 @@ func (f *Fleet) Stats() FleetStats {
 	}
 	var hits, lookups uint64
 	for i, sh := range shards {
-		ls := sh.lab.Stats()
+		ls := sh.core.stats(f.workers)
 		hits += ls.CacheHits
 		lookups += ls.CacheHits + ls.CacheMisses
 		st.Shards = append(st.Shards, FleetShardStats{

@@ -5,7 +5,7 @@ import "testing"
 // The allocation-regression tests pin the batched acquisition path's
 // headline win (PR 9): routing the Fig. 2 chain and Fig. 4 panel
 // assembly through the pooled scratch arenas cut their allocation
-// bills by more than half versus the BENCH_PR3.json baseline (766 and
+// bills by more than half versus the pre-batching baseline (766 and
 // 2102 allocs/op). The ceilings sit at the 50%-reduction acceptance
 // line, with measured counts well below (≈370 and ≈748 on go1.24), so
 // any change that re-introduces per-replica garbage fails here in

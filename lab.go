@@ -1,7 +1,6 @@
 package advdiag
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,12 +8,7 @@ import (
 
 	"advdiag/internal/conc"
 	rt "advdiag/internal/runtime"
-	"advdiag/internal/schedule"
 )
-
-// ErrLabClosed is the sentinel a closed Lab returns: Submit after Close
-// and a second Close both report it (test with errors.Is).
-var ErrLabClosed = errors.New("advdiag: lab is closed")
 
 // Sample is one specimen queued for a panel: an identifier (patient,
 // tube, time point) plus the target concentrations in mM.
@@ -28,10 +22,10 @@ type Sample struct {
 	Concentrations map[string]float64
 }
 
-// PanelOutcome is the Lab's result for one sample.
+// PanelOutcome is the serving stack's result for one sample.
 type PanelOutcome struct {
-	// Index is the sample's position in the batch (RunPanels) or its
-	// submission order (Submit). It also seeds the panel's noise
+	// Index is the sample's position in a Lab batch, or its fleet-wide
+	// submission index in a Fleet. It also seeds the panel's noise
 	// stream, which is why outcomes are byte-identical at any worker
 	// count — and, in a Fleet, at any shard count.
 	Index int
@@ -58,46 +52,25 @@ type PanelOutcome struct {
 // Platform — the run-time counterpart of the design-time explorer. A
 // Lab precomputes the platform's per-electrode calibration state once
 // (unit voltammetric templates, Michaelis–Menten inversion constants)
-// and then serves panels from a bounded worker pool. All execution
-// logic lives in internal/runtime; the Lab adds batching, streaming,
-// scheduling and statistics.
+// and then runs batches on a bounded set of workers. All execution
+// logic lives in internal/runtime; the Lab adds batching, scheduling
+// and statistics.
 //
 // Concurrency model: every panel run builds its own measurement engine
-// (NewEngine is cheap), seeded deterministically from the lab seed and
-// the sample index, honouring the one-engine-per-goroutine contract.
-// No mutable state is shared between in-flight panels except the
-// read-only calibration cache and the stats counters, so results are
-// byte-identical at any worker count — PanelResult.Fingerprint proves
-// it.
+// (NewEngine is cheap), seeded deterministically from the platform seed
+// and the sample index, honouring the one-engine-per-goroutine
+// contract. No mutable state is shared between in-flight panels except
+// the read-only calibration cache and the stats counters, so results
+// are byte-identical at any worker count — PanelResult.Fingerprint
+// proves it.
 //
-// A Lab has two entry points: RunPanels for a batch with results in
-// sample order, and Submit/Results for streaming workloads where
-// samples arrive over time. For dispatching across several platforms,
-// see Fleet.
+// A Lab runs whole batches (RunPanels) and single monitoring
+// acquisitions (RunMonitor). For samples that arrive over time, or for
+// dispatching across several platforms, use a Fleet: a one-shard Fleet
+// with the same seed is bit-identical to a Lab.
 type Lab struct {
-	p       *Platform
+	core    *execCore
 	workers int
-	seed    uint64
-	plan    *schedule.Plan
-
-	// Aggregate stats.
-	statMu          sync.Mutex
-	panels          uint64
-	failures        uint64
-	monitors        uint64
-	monitorFailures uint64
-	firstStart      time.Time
-	lastEnd         time.Time
-
-	// Streaming state. submitWG spans each Submit from its closed-check
-	// to the pool handoff, so Close cannot shut the pool down between
-	// the two (that window would otherwise panic the submitter).
-	streamMu  sync.Mutex
-	submitWG  sync.WaitGroup
-	pool      *conc.Pool
-	results   chan PanelOutcome
-	submitted int
-	closed    bool
 }
 
 // LabOption customizes a Lab.
@@ -110,13 +83,6 @@ func WithLabWorkers(n int) LabOption {
 	return func(l *Lab) { l.workers = n }
 }
 
-// WithLabSeed sets the base noise seed samples derive their per-panel
-// seeds from (default: the platform seed). Each sample mixes its index
-// into this base, so every panel is an independent reproducible draw.
-func WithLabSeed(seed uint64) LabOption {
-	return func(l *Lab) { l.seed = seed }
-}
-
 // NewLab builds a Lab over a designed platform and warms the
 // calibration cache: every electrode's calibration state (including the
 // expensive unit-template diffusion simulations for voltammetric
@@ -126,132 +92,27 @@ func NewLab(p *Platform, opts ...LabOption) (*Lab, error) {
 	if p == nil || p.inner == nil {
 		return nil, fmt.Errorf("advdiag: NewLab needs a designed platform")
 	}
-	l := &Lab{p: p, seed: p.seed, plan: p.inner.Plan}
+	l := &Lab{}
 	for _, opt := range opts {
 		opt(l)
 	}
 	if l.workers <= 0 {
 		l.workers = runtime.NumCPU()
 	}
-	if err := p.exec.Warm(); err != nil {
+	core, err := newExecCore(p, p.seed)
+	if err != nil {
 		return nil, err
 	}
+	l.core = core
 	return l, nil
 }
 
-// Workers reports the pool size.
+// Workers reports the batch concurrency.
 func (l *Lab) Workers() int { return l.workers }
 
-// runOne executes one panel at batch/submission position idx.
-func (l *Lab) runOne(idx int, s Sample) PanelOutcome {
-	return l.runIndexed(idx, idx, s, nil)
-}
-
-// labBatchMax bounds how many panels one coalesced batch runs over a
-// single executor scratch. Large enough to amortize the scratch's cell,
-// engine and chain reuse across a whole queue burst, small enough that
-// a batch never holds a worker for more than a handful of panels at a
-// time.
-const labBatchMax = 16
-
-// labBatchJob is one slot of a coalesced panel batch: the seed index
-// picks the sample's deterministic noise stream, the schedule index its
-// slot on the instrument timeline (they coincide for plain Lab batches
-// and diverge on Fleet shards).
-type labBatchJob struct {
-	seedIdx, schedIdx int
-	sample            Sample
-}
-
-// runBatch executes a coalesced run of panels over one executor scratch
-// and writes the outcome for jobs[i] into out[i]. Every panel is
-// bit-identical to the equivalent runIndexed call (the batch kernel
-// reuses allocations, never noise streams); only the bookkeeping
-// differs: the aggregate stats advance once per batch, and WallSeconds
-// reports the batch's wall-clock cost spread evenly across its panels,
-// since the shared scratch makes per-panel attribution meaningless.
-func (l *Lab) runBatch(jobs []labBatchJob, fault *rt.Fouling, out []PanelOutcome) {
-	start := time.Now()
-	concs := make([]map[string]float64, len(jobs))
-	seeds := make([]uint64, len(jobs))
-	for i, j := range jobs {
-		concs[i] = j.sample.Concentrations
-		seeds[i] = rt.SampleSeed(l.seed, j.seedIdx)
-	}
-	panels, errs := l.p.exec.RunBatch(concs, seeds, fault)
-	end := time.Now()
-
-	per := end.Sub(start).Seconds() / float64(len(jobs))
-	var failures uint64
-	for i, j := range jobs {
-		o := PanelOutcome{
-			Index:                 j.seedIdx,
-			ID:                    j.sample.ID,
-			Err:                   errs[i],
-			ScheduledStartSeconds: float64(j.schedIdx) * l.plan.CycleTime(),
-			WallSeconds:           per,
-		}
-		if errs[i] == nil {
-			o.Result = panelResult(panels[i])
-		} else {
-			failures++
-		}
-		out[i] = o
-	}
-
-	l.statMu.Lock()
-	l.panels += uint64(len(jobs))
-	l.failures += failures
-	if l.firstStart.IsZero() || start.Before(l.firstStart) {
-		l.firstStart = start
-	}
-	if end.After(l.lastEnd) {
-		l.lastEnd = end
-	}
-	l.statMu.Unlock()
-}
-
-// runIndexed executes one panel and updates the aggregate stats.
-// seedIdx picks the sample's deterministic noise stream (in a Fleet it
-// is the fleet-wide submission index, which is what makes results
-// independent of sharding); schedIdx is the panel's position on this
-// platform's instrument timeline. fault, when non-nil, is an injected
-// electrode fouling (a Fleet shard with a FaultFouledElectrode armed);
-// direct Lab traffic always passes nil.
-func (l *Lab) runIndexed(seedIdx, schedIdx int, s Sample, fault *rt.Fouling) PanelOutcome {
-	start := time.Now()
-	res, err := l.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(l.seed, seedIdx), fault)
-	end := time.Now()
-
-	l.statMu.Lock()
-	l.panels++
-	if err != nil {
-		l.failures++
-	}
-	if l.firstStart.IsZero() || start.Before(l.firstStart) {
-		l.firstStart = start
-	}
-	if end.After(l.lastEnd) {
-		l.lastEnd = end
-	}
-	l.statMu.Unlock()
-
-	out := PanelOutcome{
-		Index:                 seedIdx,
-		ID:                    s.ID,
-		Err:                   err,
-		ScheduledStartSeconds: float64(schedIdx) * l.plan.CycleTime(),
-		WallSeconds:           end.Sub(start).Seconds(),
-	}
-	if err == nil {
-		out.Result = panelResult(res)
-	}
-	return out
-}
-
-// RunPanels measures a batch of samples on the worker pool and returns
-// one outcome per sample, in sample order. Per-sample failures land in
-// the outcome's Err; the rest of the batch is unaffected.
+// RunPanels measures a batch of samples on the Lab's workers and
+// returns one outcome per sample, in sample order. Per-sample failures
+// land in the outcome's Err; the rest of the batch is unaffected.
 //
 // Samples run in contiguous chunks so each chunk shares one executor
 // scratch (cell, engine, chains, trace arena — see runtime.RunBatch);
@@ -279,95 +140,141 @@ func (l *Lab) RunPanels(samples []Sample) []PanelOutcome {
 		if hi > n {
 			hi = n
 		}
-		jobs := make([]labBatchJob, hi-lo)
+		jobs := make([]fleetJob, hi-lo)
 		for j := range jobs {
-			jobs[j] = labBatchJob{seedIdx: lo + j, schedIdx: lo + j, sample: samples[lo+j]}
+			jobs[j] = fleetJob{seedIdx: lo + j, schedIdx: lo + j, sample: samples[lo+j]}
 		}
-		l.runBatch(jobs, nil, out[lo:hi])
+		l.core.runBatch(jobs, nil, out[lo:hi])
 	})
 	return out
 }
 
-// Submit queues one sample on the streaming pool, starting the pool on
-// first use. It blocks while every worker is busy and the result buffer
-// is full (natural backpressure); consume Results concurrently.
-// Submitting after Close returns ErrLabClosed.
-func (l *Lab) Submit(s Sample) error {
-	l.streamMu.Lock()
-	if l.closed {
-		l.streamMu.Unlock()
-		return ErrLabClosed
-	}
-	if l.pool == nil {
-		l.pool = conc.NewPool(l.workers)
-	}
-	l.ensureResultsLocked()
-	idx := l.submitted
-	l.submitted++
-	pool, results := l.pool, l.results
-	l.submitWG.Add(1)
-	l.streamMu.Unlock()
+// execCore runs panels and monitoring acquisitions on one designed
+// platform's executor and keeps the aggregate service counters. A Lab
+// is one core plus a worker count; every Fleet shard owns one core and
+// drives it from the shard's own workers.
+type execCore struct {
+	p    *Platform
+	seed uint64
 
-	defer l.submitWG.Done()
-	pool.Submit(func() { results <- l.runOne(idx, s) })
-	return nil
+	mu              sync.Mutex
+	panels          uint64
+	failures        uint64
+	monitors        uint64
+	monitorFailures uint64
+	firstStart      time.Time
+	lastEnd         time.Time
 }
 
-// Results returns the streaming output channel. Outcomes arrive in
-// completion order (each carries its submission Index); the channel is
-// closed by Close after every submitted sample has been measured.
-func (l *Lab) Results() <-chan PanelOutcome {
-	l.streamMu.Lock()
-	defer l.streamMu.Unlock()
-	l.ensureResultsLocked()
-	return l.results
+// newExecCore warms the platform's calibration cache and returns a core
+// that seeds panels from seed.
+func newExecCore(p *Platform, seed uint64) (*execCore, error) {
+	if err := p.exec.Warm(); err != nil {
+		return nil, err
+	}
+	return &execCore{p: p, seed: seed}, nil
 }
 
-// ensureResultsLocked creates the streaming output channel exactly once
-// (callers hold streamMu); Submit and Results must agree on the same
-// channel no matter which is called first.
-func (l *Lab) ensureResultsLocked() {
-	if l.results == nil {
-		l.results = make(chan PanelOutcome, 4*l.workers)
-		if l.closed {
-			close(l.results)
+// labBatchMax bounds how many panels one coalesced batch runs over a
+// single executor scratch. Large enough to amortize the scratch's cell,
+// engine and chain reuse across a whole queue burst, small enough that
+// a batch never holds a worker for more than a handful of panels at a
+// time.
+const labBatchMax = 16
+
+// record folds one run of n panels (or monitor acquisitions), failed of
+// them failing, into the aggregate stats.
+func (c *execCore) record(start, end time.Time, monitor bool, n, failed uint64) {
+	c.mu.Lock()
+	if monitor {
+		c.monitors += n
+		c.monitorFailures += failed
+	} else {
+		c.panels += n
+		c.failures += failed
+	}
+	if c.firstStart.IsZero() || start.Before(c.firstStart) {
+		c.firstStart = start
+	}
+	if end.After(c.lastEnd) {
+		c.lastEnd = end
+	}
+	c.mu.Unlock()
+}
+
+// runBatch executes a coalesced run of panels over one executor scratch
+// and writes the outcome for jobs[i] into out[i]. Each job's seedIdx
+// picks its deterministic noise stream and schedIdx its slot on the
+// instrument timeline (they coincide for Lab batches and diverge on
+// Fleet shards). Every panel is bit-identical to the equivalent
+// runIndexed call (the batch kernel reuses allocations, never noise
+// streams); only the bookkeeping differs: the aggregate stats advance
+// once per batch, and WallSeconds reports the batch's wall-clock cost
+// spread evenly across its panels, since the shared scratch makes
+// per-panel attribution meaningless.
+func (c *execCore) runBatch(jobs []fleetJob, fault *rt.Fouling, out []PanelOutcome) {
+	start := time.Now()
+	concs := make([]map[string]float64, len(jobs))
+	seeds := make([]uint64, len(jobs))
+	for i, j := range jobs {
+		concs[i] = j.sample.Concentrations
+		seeds[i] = rt.SampleSeed(c.seed, j.seedIdx)
+	}
+	panels, errs := c.p.exec.RunBatch(concs, seeds, fault)
+	end := time.Now()
+
+	per := end.Sub(start).Seconds() / float64(len(jobs))
+	var failures uint64
+	for i, j := range jobs {
+		o := PanelOutcome{
+			Index:                 j.seedIdx,
+			ID:                    j.sample.ID,
+			Err:                   errs[i],
+			ScheduledStartSeconds: float64(j.schedIdx) * c.p.inner.Plan.CycleTime(),
+			WallSeconds:           per,
 		}
+		if errs[i] == nil {
+			o.Result = panelResult(panels[i])
+		} else {
+			failures++
+		}
+		out[i] = o
 	}
+	c.record(start, end, false, uint64(len(jobs)), failures)
 }
 
-// Close stops accepting submissions, waits for in-flight panels, and
-// closes the Results channel. The first Close returns nil; every later
-// Close returns ErrLabClosed (it performs no work — the first call
-// already owns the shutdown). Close is safe against concurrent Submit
-// calls: a Submit that already passed its closed-check completes
-// normally, later ones get ErrLabClosed. The caller must keep draining
-// Results until Close returns (or run Close from the producer while a
-// consumer reads).
-func (l *Lab) Close() error {
-	l.streamMu.Lock()
-	if l.closed {
-		l.streamMu.Unlock()
-		return ErrLabClosed
+// runIndexed executes one panel and updates the aggregate stats.
+// seedIdx picks the sample's deterministic noise stream (in a Fleet it
+// is the fleet-wide submission index, which is what makes results
+// independent of sharding); schedIdx is the panel's position on this
+// platform's instrument timeline. fault, when non-nil, is an injected
+// electrode fouling (a Fleet shard with a FaultFouledElectrode armed).
+func (c *execCore) runIndexed(seedIdx, schedIdx int, s Sample, fault *rt.Fouling) PanelOutcome {
+	start := time.Now()
+	res, err := c.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(c.seed, seedIdx), fault)
+	end := time.Now()
+	var failed uint64
+	if err != nil {
+		failed = 1
 	}
-	l.closed = true
-	pool, results := l.pool, l.results
-	l.streamMu.Unlock()
+	c.record(start, end, false, 1, failed)
 
-	// Wait out submissions caught between their closed-check and the
-	// pool handoff before shutting the pool down.
-	l.submitWG.Wait()
-	if pool != nil {
-		pool.Close()
+	out := PanelOutcome{
+		Index:                 seedIdx,
+		ID:                    s.ID,
+		Err:                   err,
+		ScheduledStartSeconds: float64(schedIdx) * c.p.inner.Plan.CycleTime(),
+		WallSeconds:           end.Sub(start).Seconds(),
 	}
-	if results != nil {
-		close(results)
+	if err == nil {
+		out.Result = panelResult(res)
 	}
-	return nil
+	return out
 }
 
 // LabStats is an aggregate snapshot of a Lab's service counters.
 type LabStats struct {
-	// Workers is the pool size.
+	// Workers is the batch concurrency (per shard in a Fleet).
 	Workers int
 	// PanelsRun counts finished panels (including failed ones);
 	// Failures counts the failed subset.
@@ -401,26 +308,31 @@ func (s LabStats) String() string {
 }
 
 // Stats returns the current aggregate counters.
-func (l *Lab) Stats() LabStats {
-	hits, misses := l.p.exec.CacheCounts()
+func (l *Lab) Stats() LabStats { return l.core.stats(l.workers) }
+
+// stats snapshots the core's counters as a LabStats for a pool of
+// workers.
+func (c *execCore) stats(workers int) LabStats {
+	hits, misses := c.p.exec.CacheCounts()
+	plan := c.p.inner.Plan
 	st := LabStats{
-		Workers:                 l.workers,
+		Workers:                 workers,
 		CacheHits:               hits,
 		CacheMisses:             misses,
-		PanelSeconds:            l.plan.PanelTime(),
-		CycleSeconds:            l.plan.CycleTime(),
-		InstrumentPanelsPerHour: l.plan.Throughput(),
+		PanelSeconds:            plan.PanelTime(),
+		CycleSeconds:            plan.CycleTime(),
+		InstrumentPanelsPerHour: plan.Throughput(),
 	}
 	if hits+misses > 0 {
 		st.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
-	l.statMu.Lock()
-	st.PanelsRun, st.Failures = l.panels, l.failures
-	st.MonitorsRun, st.MonitorFailures = l.monitors, l.monitorFailures
-	if !l.firstStart.IsZero() {
-		st.WallSeconds = l.lastEnd.Sub(l.firstStart).Seconds()
+	c.mu.Lock()
+	st.PanelsRun, st.Failures = c.panels, c.failures
+	st.MonitorsRun, st.MonitorFailures = c.monitors, c.monitorFailures
+	if !c.firstStart.IsZero() {
+		st.WallSeconds = c.lastEnd.Sub(c.firstStart).Seconds()
 	}
-	l.statMu.Unlock()
+	c.mu.Unlock()
 	if st.WallSeconds > 0 {
 		st.PanelsPerSecond = float64(st.PanelsRun) / st.WallSeconds
 	}

@@ -1,12 +1,9 @@
 package advdiag_test
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"advdiag"
@@ -121,37 +118,39 @@ func TestLabRepeatRunsAreIdentical(t *testing.T) {
 	}
 }
 
-// TestLabStreamingMatchesBatch: Submit/Results must yield the same
-// bytes as RunPanels for the same submission order, regardless of
-// completion order.
-func TestLabStreamingMatchesBatch(t *testing.T) {
+// TestOneShardFleetStreamingMatchesLab: samples streamed through a
+// one-shard Fleet's Submit/Results must yield the same bytes as a Lab
+// batch of the same submission order, regardless of completion order.
+func TestOneShardFleetStreamingMatchesLab(t *testing.T) {
 	p := labPlatform(t)
 	samples := labCohort(12)
 
-	batchLab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
+	lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprints(t, batchLab.RunPanels(samples))
+	want := fingerprints(t, lab.RunPanels(samples))
 
-	streamLab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(4))
+	fleet, err := advdiag.NewFleet([]*advdiag.Platform{p}, advdiag.WithFleetWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan []advdiag.PanelOutcome)
 	go func() {
 		var outs []advdiag.PanelOutcome
-		for o := range streamLab.Results() {
+		for o := range fleet.Results() {
 			outs = append(outs, o)
 		}
 		done <- outs
 	}()
 	for _, s := range samples {
-		if err := streamLab.Submit(s); err != nil {
+		if err := fleet.Submit(s); err != nil {
 			t.Error(err)
 		}
 	}
-	streamLab.Close()
+	if err := fleet.Close(); err != nil {
+		t.Fatal(err)
+	}
 	outs := <-done
 	if len(outs) != len(samples) {
 		t.Fatalf("streamed %d outcomes for %d samples", len(outs), len(samples))
@@ -161,73 +160,6 @@ func TestLabStreamingMatchesBatch(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Fatalf("streamed sample %d differs from batch", i)
-		}
-	}
-	if err := streamLab.Submit(samples[0]); !errors.Is(err, advdiag.ErrLabClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrLabClosed", err)
-	}
-}
-
-// TestLabCloseSubmitRace hammers the documented shutdown contract
-// under the race detector: concurrent Submits against two concurrent
-// Closes must never panic, every accepted sample must surface on
-// Results exactly once, and every rejection must be ErrLabClosed.
-func TestLabCloseSubmitRace(t *testing.T) {
-	p := labPlatform(t)
-	sample := labCohort(1)[0]
-	for round := 0; round < 4; round++ {
-		lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var delivered int64
-		consumed := make(chan struct{})
-		go func() {
-			defer close(consumed)
-			for range lab.Results() {
-				atomic.AddInt64(&delivered, 1)
-			}
-		}()
-
-		var accepted int64
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for i := 0; i < 8; i++ {
-					switch err := lab.Submit(sample); {
-					case err == nil:
-						atomic.AddInt64(&accepted, 1)
-					case !errors.Is(err, advdiag.ErrLabClosed):
-						t.Errorf("Submit returned %v, want nil or ErrLabClosed", err)
-					}
-				}
-			}()
-		}
-		closeErrs := make(chan error, 2)
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				closeErrs <- lab.Close()
-			}()
-		}
-		close(start)
-		wg.Wait()
-		<-consumed
-		a, b := <-closeErrs, <-closeErrs
-		if (a == nil) == (b == nil) {
-			t.Fatalf("concurrent Closes returned (%v, %v); exactly one must win", a, b)
-		}
-		if !errors.Is(a, advdiag.ErrLabClosed) && !errors.Is(b, advdiag.ErrLabClosed) {
-			t.Fatalf("losing Close must return ErrLabClosed (got %v, %v)", a, b)
-		}
-		if got := atomic.LoadInt64(&delivered); got != accepted {
-			t.Fatalf("round %d: %d samples accepted but %d outcomes delivered", round, accepted, got)
 		}
 	}
 }
@@ -288,14 +220,5 @@ func TestLabValidation(t *testing.T) {
 	}
 	if outs := lab.RunPanels(nil); len(outs) != 0 {
 		t.Fatalf("empty batch produced %d outcomes", len(outs))
-	}
-	if err := lab.Close(); err != nil {
-		t.Fatalf("first Close = %v", err)
-	}
-	if err := lab.Close(); !errors.Is(err, advdiag.ErrLabClosed) {
-		t.Fatalf("second Close = %v, want ErrLabClosed", err)
-	}
-	if _, ok := <-lab.Results(); ok {
-		t.Fatal("Results after Close must be closed")
 	}
 }

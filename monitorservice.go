@@ -122,29 +122,21 @@ func monitorResult(t rt.MonitorTrace) MonitorResult {
 // panel-index derivation). The outcome's Index is -1: direct runs are
 // outside any fleet acceptance sequence.
 func (l *Lab) RunMonitor(req MonitorRequest) MonitorOutcome {
-	return l.runMonitor(-1, req)
+	return l.core.runMonitor(-1, req)
 }
 
 // runMonitor executes one monitoring acquisition and updates the
 // aggregate stats. idx is the fleet-wide monitor acceptance index (or
 // -1 for direct runs).
-func (l *Lab) runMonitor(idx int, req MonitorRequest) MonitorOutcome {
+func (c *execCore) runMonitor(idx int, req MonitorRequest) MonitorOutcome {
 	start := time.Now()
-	tr, err := l.p.exec.RunMonitor(req.spec(), req.Seed)
+	tr, err := c.p.exec.RunMonitor(req.spec(), req.Seed)
 	end := time.Now()
-
-	l.statMu.Lock()
-	l.monitors++
+	var failed uint64
 	if err != nil {
-		l.monitorFailures++
+		failed = 1
 	}
-	if l.firstStart.IsZero() || start.Before(l.firstStart) {
-		l.firstStart = start
-	}
-	if end.After(l.lastEnd) {
-		l.lastEnd = end
-	}
-	l.statMu.Unlock()
+	c.record(start, end, true, 1, failed)
 
 	out := MonitorOutcome{
 		Index:       idx,

@@ -3,6 +3,7 @@ package advdiag
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -42,20 +43,21 @@ var ErrServerDraining = errors.New("advdiag: server is draining")
 // runtime would refuse — are 400 before anything reaches the fleet.
 //
 // Determinism: the Server preserves the Fleet's contract. Samples are
-// accepted in request order (a batch holds the intake lock for its
-// whole submission loop), and each panel's noise stream is seeded from
-// its fleet-wide submission index, so a batch POSTed to a fresh
-// server returns PanelResult fingerprints byte-identical to the same
-// samples run on a local Lab.
+// accepted in request order (a batch takes contiguous fleet submission
+// indices), and each panel's noise stream is seeded from its fleet-wide
+// submission index, so a batch POSTed to a fresh server returns
+// PanelResult fingerprints byte-identical to the same samples run on a
+// local Lab.
 //
-// The Server must be its Fleet's only submitter and Results consumer —
-// for panels AND monitors: it mirrors the fleet's acceptance counters
-// to route outcomes back to waiting requests, and any out-of-band
-// Submit (or a MonitorScheduler driving the same fleet in-process)
-// would desynchronize the mapping. Construct the Fleet, hand it to
-// NewServer, and use only the HTTP surface (or the Server's methods)
-// from then on; a scheduler drives a served fleet remotely, through
-// Client.MonitorBackend.
+// Every job the Server submits carries its own completion target: the
+// outcome is observed (the Diagnoser sees every panel, the monitor
+// store every acquisition) and handed to the waiting handler, whether
+// or not the requester is still there. The Server therefore needs no
+// exclusive ownership of its Fleet: in-process Submit callers,
+// RunPanels batches and a MonitorScheduler consuming MonitorResults can
+// share the served fleet. Each job also carries its request's context,
+// so a panel or acquisition whose client went away before it reached a
+// worker is dropped instead of run.
 //
 // Lifecycle: Drain stops intake (new submissions get 503) and waits
 // for accepted panels; Close additionally shuts the fleet down.
@@ -74,22 +76,12 @@ type Server struct {
 	// the diagnoser's evidence stream for ClassWireErrors.
 	wireErrs atomic.Uint64
 
-	// subMu serializes acceptance: a batch holds it for its whole
-	// submission loop so its samples get contiguous fleet indices.
-	// next mirrors the fleet's panel acceptance counter and mnext the
-	// monitor one — valid only while every acceptance flows through
-	// submitOne / submitMonitor.
-	subMu    sync.Mutex
-	next     int
-	mnext    int
+	// intake gates acceptance against Drain and Close: a submission
+	// holds it from its draining check through the (non-blocking) fleet
+	// handoff, so once Drain has flipped draining, every accepted job is
+	// inside the fleet drain it starts.
+	intake   sync.Mutex
 	draining bool
-
-	// waitMu guards the outcome demux maps. It is separate from subMu
-	// so the collectors keep draining fleet results (and shard workers
-	// keep pulling from their queues) while a batch is mid-submission.
-	waitMu   sync.Mutex
-	waiters  map[int]chan PanelOutcome
-	mwaiters map[int]chan MonitorOutcome
 
 	// monMu guards the monitor outcome store behind GET /v1/monitors:
 	// the latest completed outcome per campaign ID, the count of
@@ -99,9 +91,6 @@ type Server struct {
 	mlatest  map[string]MonitorOutcome
 	mpending map[string]int
 	morder   []string
-
-	collectorDone  chan struct{}
-	mcollectorDone chan struct{}
 }
 
 // monitorStoreCap bounds the monitor outcome store: completed outcomes
@@ -114,10 +103,10 @@ const monitorStoreCap = 4096
 type ServerOption func(*Server)
 
 // WithServerScheduler attaches a MonitorScheduler whose stats are
-// merged into GET /v1/stats — typically a scheduler running in the
-// same process and driving this server through a loopback client (it
-// must NOT consume the served fleet's MonitorResults directly; see the
-// type comment).
+// merged into GET /v1/stats and whose campaigns a fouling conviction
+// recalibrates. The scheduler may drive this server remotely (through
+// Client.MonitorBackend) or drive the served fleet in process, through
+// its SubmitMonitor and MonitorResults.
 func WithServerScheduler(ms *MonitorScheduler) ServerOption {
 	return func(s *Server) { s.sched.Store(ms) }
 }
@@ -148,24 +137,16 @@ func WithServerPlatformFactory(fn func(targets []string, seed uint64) (*Platform
 	return func(s *Server) { s.platformFor = fn }
 }
 
-// NewServer builds the front door over a fleet and starts the outcome
-// collectors. The fleet must be exclusively owned by the server from
-// this point on (see the type comment).
+// NewServer builds the front door over a fleet. Other submitters may
+// keep using the fleet (see the type comment).
 func NewServer(f *Fleet, opts ...ServerOption) (*Server, error) {
 	if f == nil {
 		return nil, fmt.Errorf("advdiag: NewServer needs a fleet")
 	}
-	st := f.Stats()
 	s := &Server{
-		fleet:          f,
-		next:           int(st.Submitted),
-		mnext:          int(st.MonitorsSubmitted),
-		waiters:        map[int]chan PanelOutcome{},
-		mwaiters:       map[int]chan MonitorOutcome{},
-		mlatest:        map[string]MonitorOutcome{},
-		mpending:       map[string]int{},
-		collectorDone:  make(chan struct{}),
-		mcollectorDone: make(chan struct{}),
+		fleet:    f,
+		mlatest:  map[string]MonitorOutcome{},
+		mpending: map[string]int{},
 	}
 	for _, opt := range opts {
 		opt(s)
@@ -197,45 +178,22 @@ func NewServer(f *Fleet, opts ...ServerOption) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/diagnosis", s.handleDiagnosis)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	go s.collect()
-	go s.collectMonitors()
 	return s, nil
 }
 
-// collect demultiplexes the fleet's merged Results stream back to the
-// per-request waiter channels. It exits when Close shuts the fleet's
-// Results channel.
-func (s *Server) collect() {
-	defer close(s.collectorDone)
-	for o := range s.fleet.Results() {
-		// The diagnoser sees every delivered outcome; ObservePanel only
-		// records (no channel sends), so it cannot stall the collector.
-		s.diag.ObservePanel(o)
-		s.waitMu.Lock()
-		ch := s.waiters[o.Index]
-		delete(s.waiters, o.Index)
-		s.waitMu.Unlock()
-		if ch != nil {
-			ch <- o // buffered (cap 1): never blocks the collector
-		}
-	}
+// settleMonitor retires one pending acquisition of a campaign.
+func (s *Server) settleMonitor(id string) {
+	s.monMu.Lock()
+	s.settleMonitorLocked(id)
+	s.monMu.Unlock()
 }
 
-// collectMonitors demultiplexes the fleet's merged MonitorResults
-// stream back to waiting POST /v1/monitors requests and folds each
-// completed outcome into the GET store. It exits when Close shuts the
-// fleet's channel.
-func (s *Server) collectMonitors() {
-	defer close(s.mcollectorDone)
-	for o := range s.fleet.MonitorResults() {
-		s.waitMu.Lock()
-		ch := s.mwaiters[o.Index]
-		delete(s.mwaiters, o.Index)
-		s.waitMu.Unlock()
-		s.storeMonitor(o)
-		if ch != nil {
-			ch <- o // buffered (cap 1): never blocks the collector
-		}
+// settleMonitorLocked is settleMonitor for callers holding monMu.
+func (s *Server) settleMonitorLocked(id string) {
+	if s.mpending[id] > 1 {
+		s.mpending[id]--
+	} else {
+		delete(s.mpending, id)
 	}
 }
 
@@ -245,11 +203,7 @@ func (s *Server) collectMonitors() {
 func (s *Server) storeMonitor(o MonitorOutcome) {
 	s.monMu.Lock()
 	defer s.monMu.Unlock()
-	if s.mpending[o.ID] > 1 {
-		s.mpending[o.ID]--
-	} else {
-		delete(s.mpending, o.ID)
-	}
+	s.settleMonitorLocked(o.ID)
 	if _, known := s.mlatest[o.ID]; !known {
 		s.morder = append(s.morder, o.ID)
 		if len(s.morder) > monitorStoreCap {
@@ -263,72 +217,61 @@ func (s *Server) storeMonitor(o MonitorOutcome) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// submitOne routes one sample into the fleet and registers a waiter
-// for its outcome. Callers hold s.subMu, which keeps s.next in
-// lockstep with the fleet's acceptance counter. The waiter is
-// registered before TrySubmit: once the sample is in a shard queue its
-// outcome can race back through the collector immediately.
-func (s *Server) submitOne(sm Sample) (<-chan PanelOutcome, error) {
+// submit hands samples to the fleet as one batch with TrySubmit's
+// shedding, so the accepted ones take contiguous submission indices.
+// Each accepted sample's outcome is observed by the diagnoser and then
+// passed to done(i, outcome) from the worker that produced it — done
+// must not block. Samples still queued when ctx is done are dropped
+// without running. errs[i] is sample i's rejection, nil when accepted.
+func (s *Server) submit(ctx context.Context, samples []Sample, done func(int, PanelOutcome)) []error {
+	jobs := make([]fleetJob, len(samples))
+	for i, sm := range samples {
+		jobs[i] = fleetJob{sample: sm, ctx: ctx, done: func(o PanelOutcome) {
+			s.diag.ObservePanel(o)
+			done(i, o)
+		}}
+	}
+	s.intake.Lock()
+	defer s.intake.Unlock()
 	if s.draining {
-		return nil, ErrServerDraining
+		errs := make([]error, len(samples))
+		for i := range errs {
+			errs[i] = ErrServerDraining
+		}
+		return errs
 	}
-	ch := make(chan PanelOutcome, 1)
-	idx := s.next
-	s.waitMu.Lock()
-	s.waiters[idx] = ch
-	s.waitMu.Unlock()
-	if err := s.fleet.TrySubmit(sm); err != nil {
-		s.waitMu.Lock()
-		delete(s.waiters, idx)
-		s.waitMu.Unlock()
-		return nil, err
-	}
-	s.next++
-	return ch, nil
+	return s.fleet.submit(jobs, false)
 }
 
-func (s *Server) submit(sm Sample) (<-chan PanelOutcome, error) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return s.submitOne(sm)
-}
-
-// submitMonitor routes one monitor request into the fleet and
-// registers a waiter for its outcome, mirroring the fleet's monitor
-// acceptance counter the way submitOne mirrors the panel one. The
-// pending count for GET /v1/monitors/{id} is bumped only after the
-// fleet accepts.
-func (s *Server) submitMonitor(req MonitorRequest) (<-chan MonitorOutcome, error) {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
+// submitMonitor hands one monitor request to the fleet. Its outcome is
+// folded into the GET /v1/monitors store and then sent on the returned
+// channel (buffered, so delivery never blocks a shard worker). The
+// pending count for GET /v1/monitors/{id} is bumped before the fleet
+// can possibly answer — the store's decrement must always observe the
+// increment — and rolled back on rejection.
+func (s *Server) submitMonitor(ctx context.Context, req MonitorRequest) (<-chan MonitorOutcome, error) {
+	s.intake.Lock()
+	defer s.intake.Unlock()
 	if s.draining {
 		return nil, ErrServerDraining
 	}
 	ch := make(chan MonitorOutcome, 1)
-	idx := s.mnext
-	s.waitMu.Lock()
-	s.mwaiters[idx] = ch
-	s.waitMu.Unlock()
-	// Pending is bumped before the fleet can possibly answer: once
-	// TrySubmitMonitor accepts, the outcome may race back through the
-	// collector (whose decrement must always observe this increment).
 	s.monMu.Lock()
 	s.mpending[req.ID]++
 	s.monMu.Unlock()
-	if err := s.fleet.TrySubmitMonitor(req); err != nil {
-		s.waitMu.Lock()
-		delete(s.mwaiters, idx)
-		s.waitMu.Unlock()
-		s.monMu.Lock()
-		if s.mpending[req.ID] > 1 {
-			s.mpending[req.ID]--
+	job := fleetJob{monitor: &req, ctx: ctx, mdone: func(o MonitorOutcome) {
+		if o.Err != nil && o.Err == ctx.Err() {
+			// Dropped unrun: the campaign's latest outcome stands.
+			s.settleMonitor(o.ID)
 		} else {
-			delete(s.mpending, req.ID)
+			s.storeMonitor(o)
 		}
-		s.monMu.Unlock()
+		ch <- o
+	}}
+	if err := s.fleet.submit([]fleetJob{job}, false)[0]; err != nil {
+		s.settleMonitor(req.ID)
 		return nil, err
 	}
-	s.mnext++
 	return ch, nil
 }
 
@@ -435,8 +378,8 @@ func (s *Server) handlePanel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ch, err := s.submit(sm)
-	if err != nil {
+	ch := make(chan PanelOutcome, 1)
+	if err := s.submit(r.Context(), []Sample{sm}, func(_ int, o PanelOutcome) { ch <- o })[0]; err != nil {
 		httpError(w, submitStatus(err), err)
 		return
 	}
@@ -444,8 +387,9 @@ func (s *Server) handlePanel(w http.ResponseWriter, r *http.Request) {
 	case out := <-ch:
 		writeJSON(w, toWireOutcome(0, out))
 	case <-r.Context().Done():
-		// The client went away; the panel still completes and the
-		// collector drops its outcome into the buffered channel.
+		// The client went away. If the panel has not started it is
+		// dropped without running; otherwise its outcome lands in the
+		// buffered channel and is discarded.
 	}
 }
 
@@ -505,43 +449,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	chans := make([]<-chan PanelOutcome, len(samples))
+	// The batch's accepted samples take contiguous fleet indices in
+	// request order, which is what makes a batch reproducible against a
+	// local Lab run of the same slice.
 	outs := make([]wire.Outcome, len(samples))
+	done := make(chan struct{}, len(samples))
+	errs := s.submit(r.Context(), samples, func(i int, o PanelOutcome) {
+		outs[i] = toWireOutcome(i, o)
+		done <- struct{}{}
+	})
 	accepted := 0
 	var firstErr error
-	// One subMu hold for the whole loop: batch samples are accepted
-	// contiguously in request order, which is what makes a batch
-	// reproducible against a local Lab run of the same slice. The
-	// collector drains completed panels concurrently (it only needs
-	// waitMu), so shard queues keep emptying while the batch submits.
-	s.subMu.Lock()
-	for i, sm := range samples {
-		ch, err := s.submitOne(sm)
-		if err != nil {
-			outs[i] = errorOutcome(i, sm.ID, err)
-			if firstErr == nil {
-				firstErr = err
-			}
+	for i, err := range errs {
+		if err == nil {
+			accepted++
 			continue
 		}
-		chans[i] = ch
-		accepted++
+		outs[i] = errorOutcome(i, samples[i].ID, err)
+		if firstErr == nil {
+			firstErr = err
+		}
 	}
-	s.subMu.Unlock()
-
 	if accepted == 0 && len(samples) > 0 {
 		// Nothing entered the fleet; surface the first error's status
 		// for the whole request (typically 429 on saturation).
 		httpError(w, submitStatus(firstErr), fmt.Errorf("batch rejected: %w", firstErr))
 		return
 	}
-	for i, ch := range chans {
-		if ch == nil {
-			continue
-		}
+	for range accepted {
 		select {
-		case out := <-ch:
-			outs[i] = toWireOutcome(i, out)
+		case <-done:
 		case <-r.Context().Done():
 			return
 		}
@@ -622,16 +559,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		sm := sampleFromWire(ws)
-		ch, err := s.submit(sm)
-		if err != nil {
+		// The outcome lands in a buffered channel and a relay forwards it
+		// to the writer, so a slow client never blocks a shard worker.
+		ch := make(chan PanelOutcome, 1)
+		if err := s.submit(r.Context(), []Sample{sm}, func(_ int, o PanelOutcome) { ch <- o })[0]; err != nil {
 			results <- errorOutcome(seq, sm.ID, err)
 			return
 		}
 		wg.Add(1)
-		go func(seq int, ch <-chan PanelOutcome) {
+		go func() {
 			defer wg.Done()
 			results <- toWireOutcome(seq, <-ch)
-		}(seq, ch)
+		}()
 	}
 
 	seq := 0
@@ -691,7 +630,7 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ch, err := s.submitMonitor(monitorRequestFromWire(wreq))
+	ch, err := s.submitMonitor(r.Context(), monitorRequestFromWire(wreq))
 	if err != nil {
 		httpError(w, submitStatus(err), err)
 		return
@@ -700,8 +639,9 @@ func (s *Server) handleMonitor(w http.ResponseWriter, r *http.Request) {
 	case out := <-ch:
 		writeJSON(w, toWireMonitorOutcome(out))
 	case <-r.Context().Done():
-		// The client went away; the acquisition still completes and the
-		// collector stores its outcome for GET /v1/monitors/{id}.
+		// The client went away. If the acquisition has not started it is
+		// dropped without running; either way its outcome (the context
+		// error, when dropped) settles the GET /v1/monitors store.
 	}
 }
 
@@ -746,10 +686,7 @@ func (s *Server) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.subMu.Lock()
-	draining := s.draining
-	s.subMu.Unlock()
-	if draining {
+	if s.isDraining() {
 		httpError(w, http.StatusServiceUnavailable, ErrServerDraining)
 		return
 	}
@@ -816,9 +753,7 @@ func (s *Server) Stats() ServerStats {
 		snap := ms.Stats()
 		st.Scheduler = &snap
 	}
-	s.subMu.Lock()
-	st.Draining = s.draining
-	s.subMu.Unlock()
+	st.Draining = s.isDraining()
 	return st
 }
 
@@ -849,10 +784,7 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, _ *http.Request) {
 // and JSON panel transports.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	advertiseBinary(w)
-	s.subMu.Lock()
-	draining := s.draining
-	s.subMu.Unlock()
-	if draining {
+	if s.isDraining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
@@ -860,27 +792,32 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// isDraining reports whether intake has stopped.
+func (s *Server) isDraining() bool {
+	s.intake.Lock()
+	defer s.intake.Unlock()
+	return s.draining
+}
+
+// stopIntake refuses every later submission (503).
+func (s *Server) stopIntake() {
+	s.intake.Lock()
+	s.draining = true
+	s.intake.Unlock()
+}
+
 // Drain stops accepting new submissions (they get 503) and blocks
 // until every accepted panel has been measured and delivered. In-
 // flight requests complete normally.
 func (s *Server) Drain() {
-	s.subMu.Lock()
-	s.draining = true
-	s.subMu.Unlock()
+	s.stopIntake()
 	s.fleet.Drain()
 }
 
-// Close drains the server, shuts the fleet down, and waits for the
-// outcome collector to exit. The first Close returns nil; later ones
-// return ErrFleetClosed (from the fleet).
+// Close drains the server and shuts the fleet down; every accepted
+// outcome has reached its handler when it returns. The first Close
+// returns nil; later ones return ErrFleetClosed (from the fleet).
 func (s *Server) Close() error {
-	s.subMu.Lock()
-	s.draining = true
-	s.subMu.Unlock()
-	err := s.fleet.Close()
-	if err == nil {
-		<-s.collectorDone
-		<-s.mcollectorDone
-	}
-	return err
+	s.stopIntake()
+	return s.fleet.Close()
 }

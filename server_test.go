@@ -30,6 +30,14 @@ var servePlatform = sync.OnceValues(func() (*advdiag.Platform, error) {
 // returning the client wired to it. Cleanup tears all three down.
 func newTestServer(t *testing.T, shards int, opts ...advdiag.FleetOption) (*advdiag.Server, *advdiag.Client) {
 	t.Helper()
+	_, srv, client := newServedFleet(t, shards, nil, opts...)
+	return srv, client
+}
+
+// newServedFleet is newTestServer that also returns the served fleet,
+// for tests that submit to it beside the Server.
+func newServedFleet(t *testing.T, shards int, srvOpts []advdiag.ServerOption, opts ...advdiag.FleetOption) (*advdiag.Fleet, *advdiag.Server, *advdiag.Client) {
+	t.Helper()
 	p, err := servePlatform()
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +50,7 @@ func newTestServer(t *testing.T, shards int, opts ...advdiag.FleetOption) (*advd
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := advdiag.NewServer(fleet)
+	srv, err := advdiag.NewServer(fleet, srvOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +61,7 @@ func newTestServer(t *testing.T, shards int, opts ...advdiag.FleetOption) (*advd
 			t.Errorf("server close: %v", err)
 		}
 	})
-	return srv, advdiag.NewClient(ts.URL, advdiag.WithHTTPClient(ts.Client()))
+	return fleet, srv, advdiag.NewClient(ts.URL, advdiag.WithHTTPClient(ts.Client()))
 }
 
 // localFingerprints runs the same samples on a local Lab over the
