@@ -48,6 +48,18 @@ func (a *ADC) LSB() phys.Voltage {
 // Quantize converts v to the nearest code and back, clamping at the
 // rails — the value the digital side of the platform actually sees.
 func (a *ADC) Quantize(v phys.Voltage) phys.Voltage {
+	return a.quantize(v, float64(a.LSB()), a.maxCode())
+}
+
+// maxCode returns the largest positive code, 2^(Bits−1) − 1.
+func (a *ADC) maxCode() float64 {
+	return float64(uint64(1)<<uint(a.Bits-1)) - 1
+}
+
+// quantize is Quantize with the step and the largest code supplied by
+// the caller, so a per-sample loop derives them once per run (see
+// Chain.Reset).
+func (a *ADC) quantize(v phys.Voltage, lsb, maxCode float64) phys.Voltage {
 	fs := float64(a.FullScale)
 	x := float64(v)
 	if x > fs {
@@ -56,9 +68,7 @@ func (a *ADC) Quantize(v phys.Voltage) phys.Voltage {
 	if x < -fs {
 		x = -fs
 	}
-	lsb := float64(a.LSB())
 	code := math.Round(x / lsb)
-	maxCode := float64(uint64(1)<<uint(a.Bits-1)) - 1
 	if code > maxCode {
 		code = maxCode
 	}

@@ -26,6 +26,10 @@ type Chain struct {
 	// Noise is the input-referred current noise of the channel (nil for
 	// an ideal chain).
 	Noise *NoiseModel
+
+	// Per-run ADC constants, fixed by Reset: the quantization step and
+	// the largest code.
+	lsb, maxCode float64
 }
 
 // NewOxidaseChain assembles the catalog chain for oxidase channels:
@@ -102,9 +106,13 @@ func (c *Chain) Validate() error {
 	return c.Converter.Validate()
 }
 
-// Reset prepares the chain for a run sampled at interval dt.
+// Reset prepares the chain for a run sampled at interval dt. It also
+// fixes the ADC's step and code range for the run, so Reset must
+// precede Digitize and follow any change to Converter.
 func (c *Chain) Reset(dt float64) {
 	c.Readout.Reset(dt)
+	c.lsb = float64(c.Converter.LSB())
+	c.maxCode = c.Converter.maxCode()
 }
 
 // Rebind re-derives the chain's per-run random state from rng exactly
@@ -126,7 +134,10 @@ func (c *Chain) ApplyPotential(target phys.Voltage) phys.Voltage {
 }
 
 // Digitize processes one cell-current sample through mux, noise, TIA and
-// ADC, returning the recorded voltage.
+// ADC, returning the recorded voltage. Call Reset before the first
+// sample of a run.
+//
+//advdiag:hotpath
 func (c *Chain) Digitize(i phys.Current) phys.Voltage {
 	if c.Mux != nil {
 		i = c.Mux.Pass(i)
@@ -135,7 +146,7 @@ func (c *Chain) Digitize(i phys.Current) phys.Voltage {
 		i += phys.Current(c.Noise.Sample())
 	}
 	v := c.Readout.Convert(i)
-	return c.Converter.Quantize(v)
+	return c.Converter.quantize(v, c.lsb, c.maxCode)
 }
 
 // CurrentFromVoltage inverts the nominal transimpedance, recovering the

@@ -42,8 +42,10 @@ type FlickerNoise struct {
 	// Sigma is the per-sample standard deviation of the summed output.
 	Sigma float64
 	rows  []float64
-	count uint64
-	rng   *mathx.RNG
+	// sqrtRows normalizes the row sum: R unit rows sum to variance R.
+	sqrtRows float64
+	count    uint64
+	rng      *mathx.RNG
 }
 
 // NewFlickerNoise returns a pink source with per-sample deviation sigma
@@ -53,7 +55,7 @@ func NewFlickerNoise(sigma float64, rows int, rng *mathx.RNG) *FlickerNoise {
 	if rows < 1 {
 		rows = 16
 	}
-	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), rng: rng}
+	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), sqrtRows: math.Sqrt(float64(rows)), rng: rng}
 	for i := range f.rows {
 		f.rows[i] = rng.Norm()
 	}
@@ -78,8 +80,7 @@ func (f *FlickerNoise) Sample() float64 {
 	for _, v := range f.rows {
 		sum += v
 	}
-	// Normalize: the sum of R unit rows has variance R.
-	return f.Sigma * sum / math.Sqrt(float64(len(f.rows)))
+	return f.Sigma * sum / f.sqrtRows
 }
 
 // NoiseModel bundles the input-referred current noise of a readout

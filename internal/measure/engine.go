@@ -291,6 +291,12 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	if ox != nil && proto.BaselinePhase <= 0 {
 		cs = float64(targetSampler.At(0))
 	}
+	// The charging spike (dE/Rs)·exp(−t/RsC) decays with RsC of
+	// 0.05–0.25 ms on the platform's electrodes, so at the default
+	// 0.1 s sampling it underflows to exactly zero by the third sample.
+	// Its magnitude never grows with t, so once a sample's term is zero
+	// every later one is too and the loop stops evaluating it.
+	charging := true
 
 	for i := 0; i < n; i++ {
 		t := float64(i) * dt
@@ -316,7 +322,11 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 
 		i0 := phys.Current(j * area)
 		// Double-layer charging from the initial potential step.
-		i0 += dl.ChargingCurrent(actual, t+dt/2)
+		if charging {
+			ic := dl.ChargingCurrent(actual, t+dt/2)
+			charging = ic != 0
+			i0 += ic
+		}
 
 		raw.Values[i] = float64(i0)
 		rv := chain.Digitize(i0)
@@ -548,10 +558,20 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	gain := we.Gain() * we.Func.StabilityFactor()
 
 	var active []activeBinding
+	// The sweep grid's potentials and bump shapes come from the basis
+	// when it was computed through this chain's potentiostat, and are
+	// evaluated for this run otherwise.
+	var grid *cvGrid
 	if basis != nil {
 		if err := basis.check(weName, proto); err != nil {
 			return nil, err
 		}
+		if basis.grid.drivenBy(chain.Pstat) {
+			grid = basis.grid
+		}
+	}
+	if grid == nil {
+		grid = newCVGrid(sweep, dt, n, chain.Pstat, cyp)
 	}
 	if faradaic != nil && len(faradaic) < n {
 		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
@@ -630,25 +650,24 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// Gaussian bump per binding, drawn per run with the binding's
 	// calibrated blank σ.
 	type bump struct {
-		center phys.Voltage
-		amp    float64 // A
+		amp   float64   // A
+		shape []float64 // exp(−x²) at every sample (cvGrid.shapes)
 	}
 	var bumps []bump
 	if cyp != nil && !proto.NoFilmBackground {
 		bumps = make([]bump, 0, len(cyp.Bindings))
-		for _, b := range cyp.Bindings {
+		for k, b := range cyp.Bindings {
 			bumps = append(bumps, bump{
-				center: b.PeakPotential,
-				amp:    noise.NormScaled(b.BlankSigmaAt(gain)) * area,
+				amp:   noise.NormScaled(b.BlankSigmaAt(gain)) * area,
+				shape: grid.shapes[k],
 			})
 		}
 	}
 
-	prevE := chain.ApplyPotential(sweep.VoltageAt(0))
+	prevE := grid.applied[0]
 	for i := 0; i < n; i++ {
-		t := float64(i) * dt
-		eProg := sweep.VoltageAt(t)
-		eAct := chain.ApplyPotential(eProg)
+		eProg := grid.prog[i]
+		eAct := grid.applied[i]
 
 		var iF phys.Current
 		if faradaic != nil {
@@ -671,9 +690,8 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 
 		iN := phys.Current(noise.NormScaled(sigma) * area)
 		i0 := iF + iCap + iN
-		for _, bp := range bumps {
-			x := float64(eAct-bp.center) / FilmBumpWidth
-			i0 += phys.Current(bp.amp * math.Exp(-x*x))
+		for k := range bumps {
+			i0 += phys.Current(bumps[k].amp * bumps[k].shape[i])
 		}
 
 		pot.Values[i] = float64(eProg)

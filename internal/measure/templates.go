@@ -2,10 +2,12 @@ package measure
 
 import (
 	"fmt"
+	"math"
 
 	"advdiag/internal/analog"
 	"advdiag/internal/diffusion"
 	"advdiag/internal/enzyme"
+	"advdiag/internal/phys"
 	"advdiag/internal/trace"
 )
 
@@ -37,6 +39,61 @@ type CVBasis struct {
 	we    string
 	proto CyclicVoltammetry
 	flux  map[string][]float64 // substrate → flux at every sample
+	grid  *cvGrid              // the potentials that drove flux
+}
+
+// cvGrid holds the pure functions of one electrode's CV sample grid:
+// the programmed and the applied potential at every sample, and every
+// binding's film-background bump shape exp(−x²) over the applied
+// potential. runCV reads them instead of re-deriving them per sample.
+type cvGrid struct {
+	// pstat is the potentiostat that produced applied from prog; nil
+	// when the programmed sweep drives the cell directly.
+	pstat   *analog.Potentiostat
+	prog    []phys.Voltage
+	applied []phys.Voltage
+	// shapes holds one bump shape per binding of the electrode's CYP,
+	// in binding order (nil for a blank electrode).
+	shapes [][]float64
+}
+
+// newCVGrid evaluates the grid of n samples at interval dt. pstat may
+// be nil (programmed drive) and cyp may be nil (no film bumps).
+func newCVGrid(sweep analog.TriangleSweep, dt float64, n int, pstat *analog.Potentiostat, cyp *enzyme.CYP) *cvGrid {
+	g := &cvGrid{prog: make([]phys.Voltage, n)}
+	for i := range g.prog {
+		g.prog[i] = sweep.VoltageAt(float64(i) * dt)
+	}
+	g.applied = g.prog
+	if pstat != nil {
+		p := *pstat
+		g.pstat = &p
+		g.applied = make([]phys.Voltage, n)
+		for i, v := range g.prog {
+			g.applied[i] = p.Apply(v)
+		}
+	}
+	if cyp != nil {
+		g.shapes = make([][]float64, len(cyp.Bindings))
+		for k, b := range cyp.Bindings {
+			shape := make([]float64, n)
+			for i, e := range g.applied {
+				x := float64(e-b.PeakPotential) / FilmBumpWidth
+				shape[i] = math.Exp(-x * x)
+			}
+			g.shapes[k] = shape
+		}
+	}
+	return g
+}
+
+// drivenBy reports whether the grid's applied potentials are those
+// pstat (nil: the programmed sweep) establishes.
+func (g *cvGrid) drivenBy(pstat *analog.Potentiostat) bool {
+	if g.pstat == nil || pstat == nil {
+		return g.pstat == nil && pstat == nil
+	}
+	return *g.pstat == *pstat
 }
 
 // check verifies the basis was computed for this electrode and
@@ -84,7 +141,12 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	total := sweep.Duration()
 	n := int(total/dt) + 1
 
-	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(cyp.Bindings))}
+	var pstat *analog.Potentiostat
+	if chain != nil {
+		pstat = chain.Pstat
+	}
+	grid := newCVGrid(sweep, dt, n, pstat, cyp)
+	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(cyp.Bindings)), grid: grid}
 	for _, b := range cyp.Bindings {
 		sim, err := diffusion.New(diffusion.Config{
 			Kinetics:  b.Kinetics(),
@@ -97,12 +159,8 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 			return nil, fmt.Errorf("measure: basis for %s: %w", b.Substrate.Name, err)
 		}
 		tr := make([]float64, n)
-		for i := 0; i < n; i++ {
-			eDrive := sweep.VoltageAt(float64(i) * dt)
-			if chain != nil {
-				eDrive = chain.ApplyPotential(eDrive)
-			}
-			tr[i] = sim.Step(eDrive)
+		for i, e := range grid.applied {
+			tr[i] = sim.Step(e)
 		}
 		basis.flux[b.Substrate.Name] = tr
 	}
@@ -156,8 +214,8 @@ func (e *Engine) CVTemplatesFromBasis(basis *CVBasis) (*trace.XY, map[string][]f
 	grid := trace.NewXY("V", "A")
 	grid.X = make([]float64, 0, n-first)
 	grid.Y = make([]float64, 0, n-first)
-	for i := first; i < n; i++ {
-		grid.Append(float64(sweep.VoltageAt(float64(i)*dt)), 0)
+	for _, e := range basis.grid.prog[first:n] {
+		grid.Append(float64(e), 0)
 	}
 	templates := make(map[string][]float64, len(cyp.Bindings))
 	for _, b := range cyp.Bindings {
