@@ -56,27 +56,37 @@ func TestWithProbeSelectsAlternative(t *testing.T) {
 }
 
 func TestMeasureSteadyStateScalesWithConcentration(t *testing.T) {
-	s, err := advdiag.NewSensor("glucose", advdiag.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	low, err := s.MeasureSteadyState(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	high, err := s.MeasureSteadyState(3)
-	if err != nil {
-		t.Fatal(err)
+	// One draw is too noisy to pin the ratio (a single seed leaves the
+	// band for about one seed in four), so compare mean responses over
+	// a fixed set of seeds.
+	const seeds = 32
+	var low, high float64
+	for seed := uint64(1); seed <= seeds; seed++ {
+		s, err := advdiag.NewSensor("glucose", advdiag.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, err := s.MeasureSteadyState(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hi, err := s.MeasureSteadyState(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		low += lo / seeds
+		high += hi / seeds
 	}
 	if high <= low {
 		t.Fatalf("response must grow with concentration: %g vs %g µA", low, high)
 	}
-	// Roughly linear in the published range (within noise and the MM
-	// curvature): 6× concentration → 4–6.5× signal.
+	// Roughly linear in the published range (within the MM curvature):
+	// 6× concentration → 4–6.5× signal.
 	ratio := high / low
-	if ratio < 3.5 || ratio > 7 {
-		t.Fatalf("response ratio %g for 6× concentration", ratio)
+	if ratio < 4 || ratio > 6.5 {
+		t.Fatalf("mean response ratio %g over %d seeds for 6× concentration", ratio, seeds)
 	}
+	t.Logf("mean response ratio %.2f over %d seeds", ratio, seeds)
 }
 
 func TestBareElectrodeLosesSensitivity(t *testing.T) {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"advdiag/internal/analog"
 	"advdiag/wire"
 )
 
@@ -638,7 +639,7 @@ func sampleFromWire(ws wire.Sample) Sample {
 }
 
 func toWireResult(pr PanelResult) wire.PanelResult {
-	out := wire.PanelResult{Schema: wire.SchemaVersion, PanelSeconds: pr.PanelSeconds}
+	out := wire.PanelResult{Schema: wire.SchemaVersion, PanelSeconds: pr.PanelSeconds, NoiseModel: analog.NoiseModelVersion}
 	if len(pr.Readings) > 0 {
 		out.Readings = make([]wire.Reading, len(pr.Readings))
 		for i, r := range pr.Readings {

@@ -38,7 +38,7 @@ func ExampleSensor_RunVoltammetry() {
 	}
 	// Output:
 	// peak near -250 mV
-	// peak near -401 mV
+	// peak near -398 mV
 }
 
 // ExampleDesignPlatform reproduces the paper's §III design flow: six

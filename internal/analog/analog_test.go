@@ -254,29 +254,107 @@ func TestWhiteNoiseStatistics(t *testing.T) {
 }
 
 func TestFlickerNoiseSpectrum(t *testing.T) {
-	// Pink noise must hold substantially more low-frequency energy than
-	// white noise of the same per-sample σ. Compare the variance of
-	// block means (a low-pass statistic).
-	rng := mathx.NewRNG(9)
-	pink := NewFlickerNoise(1, 16, rng.Split())
-	white := NewWhiteNoise(1, rng.Split())
-	const blocks = 200
-	const blockLen = 256
-	blockVar := func(sample func() float64) float64 {
-		var means []float64
-		for b := 0; b < blocks; b++ {
-			s := 0.0
-			for i := 0; i < blockLen; i++ {
-				s += sample()
+	for _, seed := range []uint64{9, 10, 11} {
+		rng := mathx.NewRNG(seed)
+		pink := NewFlickerNoise(1, 16, rng.Split())
+		white := NewWhiteNoise(1, rng.Split())
+
+		// Pink noise must hold substantially more low-frequency energy
+		// than white noise of the same per-sample σ. Compare the
+		// variance of block means (a low-pass statistic).
+		const blocks = 200
+		const blockLen = 256
+		blockVar := func(sample func() float64) float64 {
+			var means []float64
+			for b := 0; b < blocks; b++ {
+				s := 0.0
+				for i := 0; i < blockLen; i++ {
+					s += sample()
+				}
+				means = append(means, s/blockLen)
 			}
-			means = append(means, s/blockLen)
+			return mathx.StdDev(means)
 		}
-		return mathx.StdDev(means)
+		pv := blockVar(pink.Sample)
+		wv := blockVar(white.Sample)
+		if pv < 3*wv {
+			t.Fatalf("seed %d: pink block-mean σ %g vs white %g: not enough low-frequency energy", seed, pv, wv)
+		}
+
+		// PSD slope: for S(f) ∝ f^−α the Allan variance of block means
+		// scales as τ^(α−1), so α = 1 + the log-log slope. Fit it over
+		// τ = 2…1024 samples, well inside the 16 rows' 1/f band; the
+		// white source is the control (α = 0).
+		if a := spectralExponent(t, pink.Sample); math.Abs(a-1) > 0.1 {
+			t.Errorf("seed %d: flicker PSD slope %.3f, want ≈ −1", seed, -a)
+		}
+		if a := spectralExponent(t, white.Sample); math.Abs(a) > 0.1 {
+			t.Errorf("seed %d: white PSD slope %.3f, want ≈ 0", seed, -a)
+		}
 	}
-	pv := blockVar(pink.Sample)
-	wv := blockVar(white.Sample)
-	if pv < 3*wv {
-		t.Fatalf("pink block-mean σ %g vs white %g: not enough low-frequency energy", pv, wv)
+}
+
+// spectralExponent estimates α of S(f) ∝ f^−α from the Allan variance
+// of 2^20 samples at block lengths τ = 2^1…2^10.
+func spectralExponent(t *testing.T, sample func() float64) float64 {
+	t.Helper()
+	xs := make([]float64, 1<<20)
+	for i := range xs {
+		xs[i] = sample()
+	}
+	var logTau, logAvar []float64
+	for tau := 2; tau <= 1024; tau *= 2 {
+		nb := len(xs) / tau
+		prev, ss := 0.0, 0.0
+		for b := 0; b < nb; b++ {
+			m := mathx.Mean(xs[b*tau : (b+1)*tau])
+			if b > 0 {
+				ss += (m - prev) * (m - prev)
+			}
+			prev = m
+		}
+		logTau = append(logTau, math.Log(float64(tau)))
+		logAvar = append(logAvar, math.Log(ss/float64(2*(nb-1))))
+	}
+	fit, err := mathx.FitLinear(logTau, logAvar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return 1 + fit.Slope
+}
+
+// TestFlickerRunningSum checks the O(1) sampler's bookkeeping: after
+// 2^20 samples the running row sum still matches a fresh re-sum of the
+// rows, and Rebind re-sums it from the new rows.
+func TestFlickerRunningSum(t *testing.T) {
+	const rows = 16
+	f := NewFlickerNoise(1, rows, mathx.NewRNG(5))
+	resum := func() float64 {
+		s := 0.0
+		for _, v := range f.rows {
+			s += v
+		}
+		return s
+	}
+	for i := 0; i < 1<<20; i++ {
+		f.Sample()
+		if i%(1<<16) == 0 || i == 1<<20-1 {
+			if d := math.Abs(f.sum - resum()); d > 1e-12*rows {
+				t.Fatalf("sample %d: running sum drifted %g from the re-sum", i, d)
+			}
+		}
+	}
+	n := NewNoiseModel(0, 1, mathx.NewRNG(6))
+	n.Rebind(mathx.NewRNG(7))
+	f = n.flicker
+	if f.sum != resum() {
+		t.Fatalf("Rebind left running sum %g, rows sum to %g", f.sum, resum())
+	}
+	fresh := NewNoiseModel(0, 1, mathx.NewRNG(7))
+	for i := 0; i < 1000; i++ {
+		if a, b := n.Sample(), fresh.Sample(); a != b {
+			t.Fatalf("sample %d: rebound model %g, fresh model %g", i, a, b)
+		}
 	}
 }
 

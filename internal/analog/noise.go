@@ -8,9 +8,20 @@ package analog
 
 import (
 	"math"
+	"math/bits"
 
 	"advdiag/internal/mathx"
 )
+
+// NoiseModelVersion identifies the exact draw sequence of the
+// simulator's noise: the normal sampler (mathx.RNG.Norm) and the
+// flicker synthesis (FlickerNoise). Builds with the same version draw
+// bit-identical noise from the same seed; any change that moves a noise
+// bit bumps it, so results stamped with different versions are known
+// not to be bit-comparable. Version 1 was polar Box–Muller with an
+// O(rows) flicker re-sum; version 2 is the 128-layer ziggurat with the
+// O(1) running-sum flicker source.
+const NoiseModelVersion = 2
 
 // WhiteNoise produces independent Gaussian samples — thermal (Johnson)
 // noise folded into the sampling bandwidth.
@@ -38,14 +49,19 @@ func (w *WhiteNoise) Sample() float64 {
 // sum to a spectrum within a fraction of a dB of 1/f over ~Rows octaves.
 // Flicker noise dominates the low-frequency band where the biosensor
 // signals live (paper §II-C), which is why chopping and CDS matter.
+//
+// Each sample redraws one row and updates a running sum of the rows,
+// so a sample costs O(1) whatever the row count.
 type FlickerNoise struct {
 	// Sigma is the per-sample standard deviation of the summed output.
 	Sigma float64
 	rows  []float64
-	// sqrtRows normalizes the row sum: R unit rows sum to variance R.
-	sqrtRows float64
-	count    uint64
-	rng      *mathx.RNG
+	// sum is the running total of rows.
+	sum float64
+	// norm is 1/√R: R unit rows sum to variance R.
+	norm  float64
+	count uint64
+	rng   *mathx.RNG
 }
 
 // NewFlickerNoise returns a pink source with per-sample deviation sigma
@@ -55,32 +71,38 @@ func NewFlickerNoise(sigma float64, rows int, rng *mathx.RNG) *FlickerNoise {
 	if rows < 1 {
 		rows = 16
 	}
-	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), sqrtRows: math.Sqrt(float64(rows)), rng: rng}
-	for i := range f.rows {
-		f.rows[i] = rng.Norm()
-	}
+	f := &FlickerNoise{Sigma: sigma, rows: make([]float64, rows), norm: 1 / math.Sqrt(float64(rows)), rng: rng}
+	f.fill()
 	return f
 }
 
+// fill draws every row afresh and re-sums them.
+func (f *FlickerNoise) fill() {
+	f.sum = 0
+	for i := range f.rows {
+		f.rows[i] = f.rng.Norm()
+		f.sum += f.rows[i]
+	}
+}
+
 // Sample returns the next noise value.
+//
+//advdiag:hotpath
 func (f *FlickerNoise) Sample() float64 {
 	if f.Sigma <= 0 {
 		return 0
 	}
 	f.count++
-	// Update the row whose bit flipped (number of trailing zeros).
-	n := f.count
-	row := 0
-	for n&1 == 0 && row < len(f.rows)-1 {
-		n >>= 1
-		row++
+	// Update the row whose bit flipped: row k changes every 2^k
+	// samples, and the last row takes every slower rate too.
+	row := bits.TrailingZeros64(f.count)
+	if row >= len(f.rows) {
+		row = len(f.rows) - 1
 	}
-	f.rows[row] = f.rng.Norm()
-	sum := 0.0
-	for _, v := range f.rows {
-		sum += v
-	}
-	return f.Sigma * sum / f.sqrtRows
+	v := f.rng.Norm()
+	f.sum += v - f.rows[row]
+	f.rows[row] = v
+	return f.Sigma * f.sum * f.norm
 }
 
 // NoiseModel bundles the input-referred current noise of a readout
@@ -114,9 +136,7 @@ func (n *NoiseModel) Rebind(rng *mathx.RNG) {
 	f := n.flicker
 	f.rng.Reset(rng.Uint64())
 	f.count = 0
-	for i := range f.rows {
-		f.rows[i] = f.rng.Norm()
-	}
+	f.fill()
 }
 
 // ChopperSuppression is the flicker-noise attenuation a chopper
@@ -134,6 +154,8 @@ func (n *NoiseModel) EnableChopper(on bool) {
 }
 
 // Sample returns the next input-referred noise current.
+//
+//advdiag:hotpath
 func (n *NoiseModel) Sample() float64 {
 	if n == nil {
 		return 0

@@ -11,10 +11,6 @@ import "math"
 // explicit *RNG so experiments are reproducible bit-for-bit.
 type RNG struct {
 	state uint64
-	// spare holds a cached second Gaussian variate from the Box–Muller
-	// transform; spareOK marks it valid.
-	spare   float64
-	spareOK bool
 }
 
 // NewRNG returns a generator seeded with seed. Two generators with the
@@ -28,12 +24,10 @@ func NewRNG(seed uint64) *RNG {
 const SplitmixGamma = 0x9E3779B97F4A7C15
 
 // Reset rewinds the generator to the exact state NewRNG(seed) would
-// produce, discarding any cached Box–Muller spare. Batched runners use
-// it to reuse one allocation across many deterministic streams.
+// produce. Batched runners use it to reuse one allocation across many
+// deterministic streams.
 func (r *RNG) Reset(seed uint64) {
 	r.state = seed
-	r.spare = 0
-	r.spareOK = false
 }
 
 // Mix64 is the splitmix64 avalanche finalizer: a bijective mix whose
@@ -58,25 +52,83 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Norm returns a standard normal variate (Box–Muller).
+// Norm returns a standard normal variate, drawn with the 128-layer
+// ziggurat of Marsaglia and Tsang (J. Stat. Softw. 5(8), 2000). One
+// Uint64 supplies the layer (bits 0–6), the sign (bit 7) and a 53-bit
+// abscissa (bits 11–63); about 97% of draws end there. The rest fall
+// in a layer's wedge, accepted against the density, or past the base
+// strip's edge r, sampled exactly from the tail.
+//
+//advdiag:hotpath
 func (r *RNG) Norm() float64 {
-	if r.spareOK {
-		r.spareOK = false
-		return r.spare
-	}
-	var u, v, s float64
 	for {
-		u = 2*r.Float64() - 1
-		v = 2*r.Float64() - 1
-		s = u*u + v*v
-		if s > 0 && s < 1 {
-			break
+		u := r.Uint64()
+		i := u & (zigLayers - 1)
+		j := u >> 11
+		x := float64(int64(j)) * zigW[i]
+		if j < zigK[i] {
+			return zigSign(u, x)
+		}
+		if i == 0 {
+			// Base strip past r: Marsaglia's exponential-rejection
+			// tail sampler. 1−Float64 lies in (0, 1], so Log is finite.
+			for {
+				x = -math.Log(1-r.Float64()) / zigR
+				y := -math.Log(1 - r.Float64())
+				if y+y >= x*x {
+					return zigSign(u, zigR+x)
+				}
+			}
+		}
+		// Wedge: accept when a uniform height under layer i falls
+		// below the density.
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+			return zigSign(u, x)
 		}
 	}
-	m := math.Sqrt(-2 * math.Log(s) / s)
-	r.spare = v * m
-	r.spareOK = true
-	return u * m
+}
+
+// zigSign applies the sign carried by bit 7 of the draw u, moving it to
+// the float's sign bit: a coin-flip branch would mispredict half the
+// time and cost more than the rest of the fast path.
+func zigSign(u uint64, x float64) float64 {
+	return math.Float64frombits(math.Float64bits(x) ^ (u&0x80)<<56)
+}
+
+// Ziggurat tables. Layer i ≥ 1 is the rectangle [0, x_i] × [f(x_i),
+// f(x_{i−1})] of the unnormalized density f(x) = exp(−x²/2), with
+// x_0 = 0 < x_1 < … < x_127 = r and every layer — and the base strip
+// (layer 0: f(r) high, width v/f(r), plus the tail past r) — of area v.
+// zigW[i] scales a 53-bit integer to [0, x_i); zigK[i] is the integer
+// bound below which the point lies under layer i−1's edge and is
+// accepted outright; zigF[i] = f(x_i).
+const (
+	zigLayers = 128
+	zigR      = 3.442619855899      // x_127, the tail edge
+	zigV      = 9.91256303526217e-3 // area of each layer
+	zigScale  = 1 << 53             // the abscissa's integer range
+)
+
+var zigK [zigLayers]uint64
+var zigW, zigF [zigLayers]float64
+
+func init() {
+	f := func(x float64) float64 { return math.Exp(-0.5 * x * x) }
+	q := zigV / f(zigR) // the base strip's pseudo-width
+	zigK[0] = uint64(zigR / q * zigScale)
+	zigW[0] = q / zigScale
+	zigF[0] = 1
+	x := zigR
+	zigW[zigLayers-1] = x / zigScale
+	zigF[zigLayers-1] = f(x)
+	for i := zigLayers - 2; i >= 1; i-- {
+		next := math.Sqrt(-2 * math.Log(zigV/x+f(x)))
+		zigK[i+1] = uint64(next / x * zigScale)
+		x = next
+		zigW[i] = x / zigScale
+		zigF[i] = f(x)
+	}
+	// zigK[1] stays 0: the top layer always takes the wedge test.
 }
 
 // NormScaled returns a normal variate with the given standard deviation.

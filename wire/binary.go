@@ -105,7 +105,7 @@ func MarshalOutcomeBinary(o Outcome) ([]byte, error) {
 	}
 	n := binFrameOverhead + 3*8 + 8 + len(o.ID) + 8 + len(o.Error) + 1 + 16
 	if o.Result != nil {
-		n += 12 + 60*len(o.Result.Readings)
+		n += 20 + 60*len(o.Result.Readings)
 	}
 	buf := beginFrame(binKindOutcome, n)
 	buf = appendBinInt(buf, o.Seq)
@@ -118,6 +118,7 @@ func MarshalOutcomeBinary(o Outcome) ([]byte, error) {
 	} else {
 		buf = append(buf, 1)
 		buf = appendBinFloat(buf, o.Result.PanelSeconds)
+		buf = appendBinInt(buf, o.Result.NoiseModel)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(o.Result.Readings)))
 		for _, rd := range o.Result.Readings {
 			buf = appendBinString(buf, rd.Target)
@@ -154,7 +155,7 @@ func UnmarshalOutcomeBinary(data []byte) (Outcome, error) {
 	switch r.u8() {
 	case 0:
 	case 1:
-		res := PanelResult{Schema: SchemaVersion, PanelSeconds: r.f64()}
+		res := PanelResult{Schema: SchemaVersion, PanelSeconds: r.f64(), NoiseModel: r.int()}
 		n := int(r.u32())
 		if r.err == nil && n > r.remaining()/(3*4+4*8) {
 			//advdiag:allow hot-fmt corrupt-frame error path: a frame that decodes pays no fmt cost

@@ -71,6 +71,11 @@ type PanelResult struct {
 	Readings []Reading `json:"readings"`
 	// PanelSeconds is the scheduled panel time.
 	PanelSeconds float64 `json:"panel_seconds"`
+	// NoiseModel is the version of the noise model that drew the
+	// panel (internal/analog.NoiseModelVersion). Results stamped with
+	// different versions are not bit-comparable; 0 marks a result
+	// encoded without a stamp.
+	NoiseModel int `json:"noise_model"`
 }
 
 // Outcome is the service's per-sample answer: either a result or an
@@ -122,6 +127,9 @@ func (r *PanelResult) Validate() error {
 	}
 	if !isFinite(r.PanelSeconds) {
 		return fmt.Errorf("wire: result panel_seconds %g is not finite", r.PanelSeconds)
+	}
+	if r.NoiseModel < 0 {
+		return fmt.Errorf("wire: result noise_model %d is negative", r.NoiseModel)
 	}
 	for i, rd := range r.Readings {
 		for _, v := range [...]float64{rd.MeasuredMicroAmps, rd.EstimatedMM, rd.TrueMM, rd.PeakMV} {

@@ -27,7 +27,7 @@ func randResult(seed uint64, readings int) PanelResult {
 			return (rng.Float64() - 0.5) * 100
 		}
 	}
-	r := PanelResult{Schema: SchemaVersion, PanelSeconds: 90 * rng.Float64()}
+	r := PanelResult{Schema: SchemaVersion, PanelSeconds: 90 * rng.Float64(), NoiseModel: int(seed % 3)}
 	for i := 0; i < readings; i++ {
 		r.Readings = append(r.Readings, Reading{
 			Target:            "target-" + string(rune('a'+i%26)),
@@ -145,6 +145,8 @@ func TestStrictDecoding(t *testing.T) {
 		{"result schema skew", `{"schema":7,"readings":[],"panel_seconds":90}`, "schema 7",
 			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
 		{"result unknown field", `{"schema":1,"readings":[],"panel_seconds":90,"lab":"x"}`, "unknown field",
+			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
+		{"result negative noise model", `{"schema":1,"readings":[],"panel_seconds":90,"noise_model":-1}`, "noise_model",
 			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
 		{"outcome schema skew", `{"schema":0,"seq":0,"index":0,"shard":0}`, "schema 0",
 			func(p string) error { _, err := UnmarshalOutcome([]byte(p)); return err }},

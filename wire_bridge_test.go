@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"advdiag/internal/analog"
 	"advdiag/internal/mathx"
 	"advdiag/wire"
 )
@@ -107,6 +108,9 @@ func TestWireBridgeOutcome(t *testing.T) {
 	wo := toWireOutcome(3, o)
 	if wo.Seq != 3 || wo.Error != "" || wo.Result == nil {
 		t.Fatalf("wire outcome: %+v", wo)
+	}
+	if wo.Result.NoiseModel != analog.NoiseModelVersion {
+		t.Fatalf("wire result stamped noise model %d, want %d", wo.Result.NoiseModel, analog.NoiseModelVersion)
 	}
 	back := outcomeFromWire(wo)
 	if back.Err != nil || back.Index != 7 || back.ID != "p-9" || back.Shard != 1 {
