@@ -123,7 +123,7 @@
 //
 // The Server publishes a Fleet on the network; the Client consumes it.
 // Samples and results travel in the advdiag/wire package's versioned
-// JSON (schema version 1, strict decoding: unknown fields, version
+// JSON (schema version 2, strict decoding: unknown fields, version
 // skew, and concentrations the runtime would refuse are all HTTP 400
 // before anything reaches the fleet):
 //
@@ -281,7 +281,18 @@
 // for time. The internal simulator works in SI.
 //
 // Everything is deterministic: every stochastic element (thermal and
-// flicker noise) derives from the seed passed at construction.
+// flicker noise) derives from the seed passed at construction. Normal
+// variates come from a 128-layer ziggurat (mathx.RNG.Norm), one 64-bit
+// draw in the common case; flicker noise is Voss–McCartney with a
+// running row sum, O(1) per sample. The exact draw sequence is
+// versioned by analog.NoiseModelVersion, which every wire.PanelResult
+// carries as noise_model: a change that moves any noise bit bumps it
+// and regenerates the golden traces once, with
+// "go test ./internal/measure -run TestGolden -update". Statistical
+// oracles, not bit patterns, guard the noise itself: normal moments
+// and tail masses (mathx TestNormMoments), the flicker PSD slope
+// (analog TestFlickerNoiseSpectrum), and the Table III figures of
+// merit and LODs (experiments TestTableIIIShape).
 //
 // # Concurrency
 //
@@ -317,7 +328,13 @@
 //   - The measurement loops (measure.RunCA, measure.RunCV) hoist all
 //     loop-invariant work — species lookups, cross-talk and interferent
 //     classification, efficiency sigmoids, concentration timelines —
-//     out of the per-timestep code; a timestep allocates nothing.
+//     out of the per-timestep code; a timestep allocates nothing. The
+//     CV sweep grid (programmed and applied potentials, film-bump
+//     shapes) is tabulated once in the shared CVBasis, and RunCA stops
+//     evaluating the double-layer charging term once it underflows.
+//
+//   - Noise synthesis, the largest cost of a panel, is one ziggurat
+//     draw per normal and O(1) flicker bookkeeping per sample.
 //
 //   - The diffusion problem is linear in bulk concentration, so the
 //     panel path never re-simulates it per sample: the calibration

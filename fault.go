@@ -163,13 +163,13 @@ type MalformedClient struct {
 // malformedPayloads are the corruption shapes Send cycles through; each
 // must be refused by the wire layer's strict decoding with HTTP 400.
 var malformedPayloads = []string{
-	`{"schema":1,"concentrations":`,                       // truncated JSON
-	`{"schema":1,"surprise":true,"concentrations":{}}`,    // unknown field
+	`{"schema":2,"concentrations":`,                       // truncated JSON
+	`{"schema":2,"surprise":true,"concentrations":{}}`,    // unknown field
 	`{"schema":99,"concentrations":{"glucose":1}}`,        // version skew
-	`{"schema":1,"concentrations":{"glucose":-3}}`,        // negative concentration
-	`{"schema":1,"concentrations":{"unobtainium":1}}`,     // unregistered species
-	`{"schema":1,"concentrations":{"glucose":1e309}}`,     // overflows to +Inf
-	`{"schema":1,"concentrations":{"glucose":1}}trailing`, // trailing garbage
+	`{"schema":2,"concentrations":{"glucose":-3}}`,        // negative concentration
+	`{"schema":2,"concentrations":{"unobtainium":1}}`,     // unregistered species
+	`{"schema":2,"concentrations":{"glucose":1e309}}`,     // overflows to +Inf
+	`{"schema":2,"concentrations":{"glucose":1}}trailing`, // trailing garbage
 	`not json at all`, // no JSON framing
 }
 

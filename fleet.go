@@ -1258,7 +1258,9 @@ func (f *Fleet) AddShard(p *Platform) (int, error) {
 // accepts it, so operator timelines and replay checks survive the
 // topology change. Removing the last routable shard is allowed —
 // submissions then fail with ErrNoShard until AddShard grows the fleet
-// again.
+// again. Removal lifts the shard's fault, so a job a worker had
+// dequeued but not yet parked runs healthy on the removed shard, like
+// the straggler handoffs retireShard waits for.
 //
 // Like Quarantine, RemoveShard may block delivering rerouted jobs when
 // every surviving queue is full — keep consuming Results.

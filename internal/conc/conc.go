@@ -1,6 +1,6 @@
-// Package conc holds the small concurrency primitives shared by the
-// evaluation layer's worker pools (the design-space explorer and the
-// experiment runner) and the run-time panel service (the Lab).
+// Package conc holds the bounded worker pool shared by the parallel
+// runners: the design-space explorer, the experiment runner and Lab's
+// batch path.
 package conc
 
 import "sync"
@@ -37,42 +37,4 @@ func ForEach(n, workers int, fn func(int)) {
 	}
 	close(jobs)
 	wg.Wait()
-}
-
-// Pool is a fixed-size worker pool for streaming workloads where jobs
-// arrive over time instead of as a pre-sized batch (ForEach's case).
-// Jobs run in submission order on whichever worker frees up first;
-// ordering of completions is the jobs' own business.
-type Pool struct {
-	jobs chan func()
-	wg   sync.WaitGroup
-}
-
-// NewPool starts a pool of `workers` goroutines (at least one).
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{jobs: make(chan func())}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for fn := range p.jobs {
-				fn()
-			}
-		}()
-	}
-	return p
-}
-
-// Submit enqueues one job; it blocks while every worker is busy and the
-// handoff channel is full. Submit must not be called after Close.
-func (p *Pool) Submit(fn func()) { p.jobs <- fn }
-
-// Close stops accepting jobs and blocks until every submitted job has
-// finished.
-func (p *Pool) Close() {
-	close(p.jobs)
-	p.wg.Wait()
 }

@@ -25,25 +25,3 @@ func TestForEachEmpty(t *testing.T) {
 		t.Fatal("fn must not run for n=0")
 	}
 }
-
-func TestPoolRunsEveryJobAndCloseWaits(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		const n = 53
-		hits := make([]int32, n)
-		p := NewPool(workers)
-		for i := 0; i < n; i++ {
-			i := i
-			p.Submit(func() { atomic.AddInt32(&hits[i], 1) })
-		}
-		p.Close()
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("workers=%d: job %d ran %d times", workers, i, h)
-			}
-		}
-	}
-}
-
-func TestPoolCloseWithoutJobs(t *testing.T) {
-	NewPool(3).Close()
-}

@@ -130,3 +130,60 @@ func TestAgedElectrodeLosesSignal(t *testing.T) {
 		t.Fatalf("5-day-aged signal ratio %.3f, want ≈1/e", ratio)
 	}
 }
+
+// TestCVBasisGridMatchesRunGrid: a basis computed through the run's
+// potentiostat lends runCV its sweep-grid tables (potentials and film
+// bump shapes); a basis computed without one makes runCV evaluate them
+// for the run. Given the same faradaic trace, the two must produce
+// bit-identical runs.
+func TestCVBasisGridMatchesRunGrid(t *testing.T) {
+	a := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
+	var peaks []phys.Voltage
+	for _, b := range a.CYP.Bindings {
+		peaks = append(peaks, b.PeakPotential)
+	}
+	start, vertex := CVWindowFor(peaks...)
+	proto := CyclicVoltammetry{Start: start, Vertex: vertex}
+
+	run := func(chainBasis bool) *CVResult {
+		eng, err := NewEngine(cypCVCell(t), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := analog.NewNanoChain(nil, eng.RNG())
+		withChain, err := eng.CVFluxBasis("WE1", proto, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		basis := withChain
+		if !chainBasis {
+			if basis, err = eng.CVFluxBasis("WE1", proto, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := basis.grid.drivenBy(chain.Pstat); got != chainBasis {
+			t.Fatalf("basis grid drivenBy(run potentiostat) = %v, want %v", got, chainBasis)
+		}
+		far, err := eng.CVFaradaicSum("WE1", proto, withChain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunCVShared("WE1", chain, proto, basis, far)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	shared, own := run(true), run(false)
+	for name, pair := range map[string][2][]float64{
+		"potential": {shared.Potential.Values, own.Potential.Values},
+		"raw":       {shared.Raw.Values, own.Raw.Values},
+		"recorded":  {shared.Recorded.Values, own.Recorded.Values},
+	} {
+		for i := range pair[0] {
+			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+				t.Fatalf("%s[%d]: basis grid %g, run grid %g", name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+}

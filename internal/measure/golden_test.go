@@ -33,7 +33,8 @@ import (
 //	go test ./internal/measure -run TestGolden -update
 //
 // and commit the rewritten testdata/*.golden files with a note on why
-// the numbers moved.
+// the numbers moved. A change to the noise draws also bumps
+// analog.NoiseModelVersion.
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
 // hashSeries folds labelled float64 slices into one sha256. The label

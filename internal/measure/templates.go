@@ -47,9 +47,10 @@ type CVBasis struct {
 // binding's film-background bump shape exp(−x²) over the applied
 // potential. runCV reads them instead of re-deriving them per sample.
 type cvGrid struct {
-	// pstat is the potentiostat that produced applied from prog; nil
-	// when the programmed sweep drives the cell directly.
-	pstat   *analog.Potentiostat
+	// pstat is the potentiostat that produced applied from prog; the
+	// zero value (never a valid potentiostat) when the programmed
+	// sweep drives the cell directly.
+	pstat   analog.Potentiostat
 	prog    []phys.Voltage
 	applied []phys.Voltage
 	// shapes holds one bump shape per binding of the electrode's CYP,
@@ -66,11 +67,10 @@ func newCVGrid(sweep analog.TriangleSweep, dt float64, n int, pstat *analog.Pote
 	}
 	g.applied = g.prog
 	if pstat != nil {
-		p := *pstat
-		g.pstat = &p
+		g.pstat = *pstat
 		g.applied = make([]phys.Voltage, n)
 		for i, v := range g.prog {
-			g.applied[i] = p.Apply(v)
+			g.applied[i] = pstat.Apply(v)
 		}
 	}
 	if cyp != nil {
@@ -88,12 +88,9 @@ func newCVGrid(sweep analog.TriangleSweep, dt float64, n int, pstat *analog.Pote
 }
 
 // drivenBy reports whether the grid's applied potentials are those
-// pstat (nil: the programmed sweep) establishes.
+// pstat establishes.
 func (g *cvGrid) drivenBy(pstat *analog.Potentiostat) bool {
-	if g.pstat == nil || pstat == nil {
-		return g.pstat == nil && pstat == nil
-	}
-	return *g.pstat == *pstat
+	return g.pstat == *pstat
 }
 
 // check verifies the basis was computed for this electrode and

@@ -285,6 +285,12 @@ func TestAffinityRouterQuarantinedCoverage(t *testing.T) {
 // mid-batch fails the undeliverable backlog with outcomes wrapping
 // ErrNoShard (nothing vanishes, Drain cannot hang), rejects new
 // submissions with ErrNoShard, and AddShard brings the fleet back.
+//
+// The backlog is the queue plus the parked jobs. A worker that has
+// dequeued a job but not yet parked it when RemoveShard lifts the dead
+// fault runs that job healthy on the removed shard, like any other
+// straggler (see RemoveShard), so up to one outcome per worker may be
+// a successful shard-0 panel instead of ErrNoShard.
 func TestFleetRemovalEmptiesRoutingView(t *testing.T) {
 	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 1),
 		advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(8))
@@ -306,15 +312,23 @@ func TestFleetRemovalEmptiesRoutingView(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
+	ran := 0
 	for i := 0; i < n; i++ {
 		o := <-fleet.Results()
-		if !errors.Is(o.Err, advdiag.ErrNoShard) {
-			t.Fatalf("stranded sample %d: err %v, want ErrNoShard", o.Index, o.Err)
+		switch {
+		case errors.Is(o.Err, advdiag.ErrNoShard):
+		case o.Err == nil && o.Shard == 0:
+			ran++ // held by the worker when the fault lifted
+		default:
+			t.Fatalf("stranded sample %d: shard %d err %v, want ErrNoShard", o.Index, o.Shard, o.Err)
 		}
 		seen[o.Index] = true
 	}
 	if len(seen) != n {
 		t.Fatalf("%d distinct stranded outcomes, want %d", len(seen), n)
+	}
+	if ran > 1 {
+		t.Fatalf("%d samples ran on the removed shard; only the one its single worker held may", ran)
 	}
 	if err := fleet.Submit(mixedCohort(1)[0]); !errors.Is(err, advdiag.ErrNoShard) {
 		t.Fatalf("submit to an empty routing view: %v, want ErrNoShard", err)

@@ -243,13 +243,13 @@ func TestServerValidation(t *testing.T) {
 	base := clientBase(client)
 
 	cases := []struct{ name, path, body, want string }{
-		{"malformed", "/v1/panels", `{"schema":1,`, ""},
-		{"unknown field", "/v1/panels", `{"schema":1,"concentrations":{"glucose":5},"priority":1}`, "unknown field"},
-		{"schema skew", "/v1/panels", `{"schema":2,"concentrations":{"glucose":5}}`, "schema 2"},
-		{"unknown species", "/v1/panels", `{"schema":1,"concentrations":{"unobtainium":5}}`, "unknown species"},
-		{"negative concentration", "/v1/panels", `{"schema":1,"concentrations":{"glucose":-2}}`, "negative"},
-		{"batch not an array", "/v1/panels/batch", `{"schema":1}`, ""},
-		{"batch bad element", "/v1/panels/batch", `[{"schema":1,"concentrations":{"glucose":5}},{"schema":1,"concentrations":{"glucose":-1}}]`, "sample 1"},
+		{"malformed", "/v1/panels", `{"schema":2,`, ""},
+		{"unknown field", "/v1/panels", `{"schema":2,"concentrations":{"glucose":5},"priority":1}`, "unknown field"},
+		{"schema skew", "/v1/panels", `{"schema":3,"concentrations":{"glucose":5}}`, "schema 3"},
+		{"unknown species", "/v1/panels", `{"schema":2,"concentrations":{"unobtainium":5}}`, "unknown species"},
+		{"negative concentration", "/v1/panels", `{"schema":2,"concentrations":{"glucose":-2}}`, "negative"},
+		{"batch not an array", "/v1/panels/batch", `{"schema":2}`, ""},
+		{"batch bad element", "/v1/panels/batch", `[{"schema":2,"concentrations":{"glucose":5}},{"schema":2,"concentrations":{"glucose":-1}}]`, "sample 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,7 +338,7 @@ func TestServerDrainAndClose(t *testing.T) {
 // 413, not an opaque decode failure.
 func TestServerBodyTooLarge(t *testing.T) {
 	_, client := newTestServer(t, 1)
-	huge := `{"schema":1,"id":"` + strings.Repeat("x", 2<<20) + `","concentrations":{"glucose":5}}`
+	huge := `{"schema":2,"id":"` + strings.Repeat("x", 2<<20) + `","concentrations":{"glucose":5}}`
 	resp, err := http.Post(clientBase(client)+"/v1/panels", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
@@ -354,10 +354,10 @@ func TestServerBodyTooLarge(t *testing.T) {
 // with its seq, and the valid lines still measure.
 func TestServerStreamInBandErrors(t *testing.T) {
 	_, client := newTestServer(t, 1)
-	body := `{"schema":1,"id":"good-0","concentrations":{"glucose":5}}` + "\n" +
+	body := `{"schema":2,"id":"good-0","concentrations":{"glucose":5}}` + "\n" +
 		`{"schema":9,"id":"bad-1","concentrations":{"glucose":5}}` + "\n" +
 		"\n" + // blank keep-alive line, not a sample
-		`{"schema":1,"id":"good-2","concentrations":{"glucose":4}}` + "\n"
+		`{"schema":2,"id":"good-2","concentrations":{"glucose":4}}` + "\n"
 	resp, err := http.Post(clientBase(client)+"/v1/panels/stream", "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -490,9 +490,9 @@ func TestServerShardEndpoints(t *testing.T) {
 		name, method, path, body string
 		want                     int
 	}{
-		{"malformed body", http.MethodPost, "/v1/shards", `{"schema":1,`, http.StatusBadRequest},
-		{"no targets", http.MethodPost, "/v1/shards", `{"schema":1,"targets":[]}`, http.StatusBadRequest},
-		{"unknown field", http.MethodPost, "/v1/shards", `{"schema":1,"targets":["glucose"],"replicas":3}`, http.StatusBadRequest},
+		{"malformed body", http.MethodPost, "/v1/shards", `{"schema":2,`, http.StatusBadRequest},
+		{"no targets", http.MethodPost, "/v1/shards", `{"schema":2,"targets":[]}`, http.StatusBadRequest},
+		{"unknown field", http.MethodPost, "/v1/shards", `{"schema":2,"targets":["glucose"],"replicas":3}`, http.StatusBadRequest},
 		{"non-numeric id", http.MethodDelete, "/v1/shards/abc", "", http.StatusNotFound},
 		{"negative id", http.MethodDelete, "/v1/shards/-1", "", http.StatusNotFound},
 	} {
@@ -520,7 +520,7 @@ func TestServerShardEndpointsDraining(t *testing.T) {
 		t.Fatal("draining server accepted AddShard")
 	}
 	resp, err := http.Post(clientBase(client)+"/v1/shards", "application/json",
-		strings.NewReader(`{"schema":1,"targets":["glucose"]}`))
+		strings.NewReader(`{"schema":2,"targets":["glucose"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

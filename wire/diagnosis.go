@@ -138,7 +138,7 @@ type Diagnosis struct {
 	Findings []DiagnosisFinding `json:"findings,omitempty"`
 	// History is the fleet's lifecycle timeline, oldest first — shards
 	// added and removed, quarantines, probe transitions, automatic
-	// restores. Optional, so schema 1 stays backward compatible.
+	// restores. Optional: a diagnosis without history is valid.
 	History []DiagnosisEvent `json:"history,omitempty"`
 }
 

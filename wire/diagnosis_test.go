@@ -48,18 +48,18 @@ func TestDiagnosisStrictDecoding(t *testing.T) {
 	cases := []struct {
 		name, payload, wantErr string
 	}{
-		{"unknown field", `{"schema":1,"status":"healthy","snapshots":0,"surprise":true}`, "unknown field"},
-		{"schema skew", `{"schema":2,"status":"healthy","snapshots":0}`, "schema 2"},
-		{"bad status", `{"schema":1,"status":"on fire","snapshots":0}`, "unknown diagnosis status"},
-		{"bad class", `{"schema":1,"status":"degraded","snapshots":1,"findings":[{"class":"gremlins","shard":0,"severity":0.5}]}`, "unknown diagnosis class"},
-		{"severity range", `{"schema":1,"status":"degraded","snapshots":1,"findings":[{"class":"shard_stall","shard":0,"severity":1.5}]}`, "severity"},
-		{"shard below -1", `{"schema":1,"status":"degraded","snapshots":1,"findings":[{"class":"shard_stall","shard":-2,"severity":0.5}]}`, "below -1"},
-		{"negative snapshots", `{"schema":1,"status":"healthy","snapshots":-1}`, "negative"},
-		{"negative quarantine entry", `{"schema":1,"status":"healthy","snapshots":0,"quarantined_shards":[-1]}`, "negative"},
-		{"bad event kind", `{"schema":1,"status":"healthy","snapshots":0,"history":[{"at":"2026-08-07T09:15:06Z","kind":"exploded","shard":0}]}`, "unknown diagnosis event kind"},
-		{"bad event time", `{"schema":1,"status":"healthy","snapshots":0,"history":[{"at":"yesterday","kind":"probed","shard":0}]}`, "event time"},
-		{"negative event shard", `{"schema":1,"status":"healthy","snapshots":0,"history":[{"at":"2026-08-07T09:15:06Z","kind":"probed","shard":-1}]}`, "negative"},
-		{"truncated", `{"schema":1,"status":"healthy"`, "unexpected"},
+		{"unknown field", `{"schema":2,"status":"healthy","snapshots":0,"surprise":true}`, "unknown field"},
+		{"schema skew", `{"schema":3,"status":"healthy","snapshots":0}`, "schema 3"},
+		{"bad status", `{"schema":2,"status":"on fire","snapshots":0}`, "unknown diagnosis status"},
+		{"bad class", `{"schema":2,"status":"degraded","snapshots":1,"findings":[{"class":"gremlins","shard":0,"severity":0.5}]}`, "unknown diagnosis class"},
+		{"severity range", `{"schema":2,"status":"degraded","snapshots":1,"findings":[{"class":"shard_stall","shard":0,"severity":1.5}]}`, "severity"},
+		{"shard below -1", `{"schema":2,"status":"degraded","snapshots":1,"findings":[{"class":"shard_stall","shard":-2,"severity":0.5}]}`, "below -1"},
+		{"negative snapshots", `{"schema":2,"status":"healthy","snapshots":-1}`, "negative"},
+		{"negative quarantine entry", `{"schema":2,"status":"healthy","snapshots":0,"quarantined_shards":[-1]}`, "negative"},
+		{"bad event kind", `{"schema":2,"status":"healthy","snapshots":0,"history":[{"at":"2026-08-07T09:15:06Z","kind":"exploded","shard":0}]}`, "unknown diagnosis event kind"},
+		{"bad event time", `{"schema":2,"status":"healthy","snapshots":0,"history":[{"at":"yesterday","kind":"probed","shard":0}]}`, "event time"},
+		{"negative event shard", `{"schema":2,"status":"healthy","snapshots":0,"history":[{"at":"2026-08-07T09:15:06Z","kind":"probed","shard":-1}]}`, "negative"},
+		{"truncated", `{"schema":2,"status":"healthy"`, "unexpected"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

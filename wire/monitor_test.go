@@ -135,23 +135,23 @@ func TestMonitorStrictDecoding(t *testing.T) {
 		name, payload, want string
 		decode              func(string) error
 	}{
-		{"request schema skew", `{"schema":2,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"seed":1}`, "schema 2",
+		{"request schema skew", `{"schema":3,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"seed":1}`, "schema 3",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
-		{"request unknown field", `{"schema":1,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"seed":1,"priority":9}`, "unknown field",
+		{"request unknown field", `{"schema":2,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"seed":1,"priority":9}`, "unknown field",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
-		{"request unknown species", `{"schema":1,"tick":0,"target":"unobtainium","concentration_mm":5,"duration_s":30,"seed":1}`, "unknown species",
+		{"request unknown species", `{"schema":2,"tick":0,"target":"unobtainium","concentration_mm":5,"duration_s":30,"seed":1}`, "unknown species",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
-		{"request negative duration", `{"schema":1,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":-1,"seed":1}`, "negative",
+		{"request negative duration", `{"schema":2,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":-1,"seed":1}`, "negative",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
-		{"request baseline swallows trace", `{"schema":1,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"baseline_s":30,"seed":1}`, "swallows",
+		{"request baseline swallows trace", `{"schema":2,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"baseline_s":30,"seed":1}`, "swallows",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
-		{"request injection past end", `{"schema":1,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"injections":[{"at_s":31,"delta_mm":1}],"seed":1}`, "past",
+		{"request injection past end", `{"schema":2,"tick":0,"target":"glucose","concentration_mm":5,"duration_s":30,"injections":[{"at_s":31,"delta_mm":1}],"seed":1}`, "past",
 			func(p string) error { _, err := UnmarshalMonitorRequest([]byte(p)); return err }},
 		{"result schema skew", `{"schema":7,"times_s":[],"currents_ua":[],"t90_s":0,"transient_s":0,"baseline_ua":0,"steady_ua":0,"settled":true,"step_ua":0,"estimated_mm":0}`, "schema 7",
 			func(p string) error { _, err := UnmarshalMonitorResult([]byte(p)); return err }},
 		{"outcome schema skew", `{"schema":0,"index":0,"tick":0,"shard":0,"wall_s":0}`, "schema 0",
 			func(p string) error { _, err := UnmarshalMonitorOutcome([]byte(p)); return err }},
-		{"outcome trailing data", `{"schema":1,"index":0,"tick":0,"shard":0,"wall_s":0} {"x":1}`, "trailing",
+		{"outcome trailing data", `{"schema":2,"index":0,"tick":0,"shard":0,"wall_s":0} {"x":1}`, "trailing",
 			func(p string) error { _, err := UnmarshalMonitorOutcome([]byte(p)); return err }},
 	}
 	for _, tc := range cases {

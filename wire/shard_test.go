@@ -50,12 +50,12 @@ func TestShardStrictDecoding(t *testing.T) {
 	reqCases := []struct {
 		name, payload, wantErr string
 	}{
-		{"no targets", `{"schema":1,"targets":[]}`, "no targets"},
-		{"missing targets", `{"schema":1}`, "no targets"},
-		{"empty target", `{"schema":1,"targets":["glucose",""]}`, "target 1 is empty"},
-		{"schema skew", `{"schema":2,"targets":["glucose"]}`, "schema 2"},
-		{"unknown field", `{"schema":1,"targets":["glucose"],"workers":4}`, "unknown field"},
-		{"truncated", `{"schema":1,"targets":["glu`, "unexpected"},
+		{"no targets", `{"schema":2,"targets":[]}`, "no targets"},
+		{"missing targets", `{"schema":2}`, "no targets"},
+		{"empty target", `{"schema":2,"targets":["glucose",""]}`, "target 1 is empty"},
+		{"schema skew", `{"schema":3,"targets":["glucose"]}`, "schema 3"},
+		{"unknown field", `{"schema":2,"targets":["glucose"],"workers":4}`, "unknown field"},
+		{"truncated", `{"schema":2,"targets":["glu`, "unexpected"},
 	}
 	for _, tc := range reqCases {
 		t.Run("request/"+tc.name, func(t *testing.T) {
@@ -71,9 +71,9 @@ func TestShardStrictDecoding(t *testing.T) {
 	respCases := []struct {
 		name, payload, wantErr string
 	}{
-		{"negative shard", `{"schema":1,"shard":-1}`, "negative"},
-		{"schema skew", `{"schema":2,"shard":0}`, "schema 2"},
-		{"unknown field", `{"schema":1,"shard":0,"extra":1}`, "unknown field"},
+		{"negative shard", `{"schema":2,"shard":-1}`, "negative"},
+		{"schema skew", `{"schema":3,"shard":0}`, "schema 3"},
+		{"unknown field", `{"schema":2,"shard":0,"extra":1}`, "unknown field"},
 	}
 	for _, tc := range respCases {
 		t.Run("response/"+tc.name, func(t *testing.T) {

@@ -2,11 +2,14 @@
 // service boundary: the JSON shapes in which samples enter the
 // platform and panel results leave it, over HTTP, files, or queues.
 //
-// Every message carries an explicit schema version. Version 1 is the
-// current (and first) schema; decoding rejects any other version, any
-// unknown field, and any payload that fails the same validation the
-// execution runtime applies (see internal/runtime.ValidateSample), so
-// a payload that decodes is a payload the platform will accept.
+// Every message carries an explicit schema version. Version 2 is the
+// current schema: version 1 plus the panel result's noise_model stamp,
+// which names the noise model that drew the result (results of two
+// noise models are not bit-comparable). Decoding rejects any other
+// version, any unknown field, and any payload that fails the same
+// validation the execution runtime applies (see
+// internal/runtime.ValidateSample), so a payload that decodes is a
+// payload the platform will accept.
 //
 // The format is lossless for float64: encoding/json renders floats in
 // their shortest exact form, so Decode(Encode(x)) reproduces every bit
@@ -35,7 +38,7 @@ import (
 
 // SchemaVersion is the wire schema this package encodes and the only
 // version it accepts when decoding.
-const SchemaVersion = 1
+const SchemaVersion = 2
 
 // Sample is one specimen submitted for a panel: the wire twin of
 // advdiag.Sample plus the schema version.
@@ -72,9 +75,9 @@ type PanelResult struct {
 	// PanelSeconds is the scheduled panel time.
 	PanelSeconds float64 `json:"panel_seconds"`
 	// NoiseModel is the version of the noise model that drew the
-	// panel (internal/analog.NoiseModelVersion). Results stamped with
-	// different versions are not bit-comparable; 0 marks a result
-	// encoded without a stamp.
+	// panel (internal/analog.NoiseModelVersion); servers always stamp
+	// it. Results stamped with different versions are not
+	// bit-comparable.
 	NoiseModel int `json:"noise_model"`
 }
 

@@ -128,29 +128,29 @@ func TestStrictDecoding(t *testing.T) {
 		name, payload, want string
 		decode              func(string) error
 	}{
-		{"sample schema skew", `{"schema":2,"concentrations":{"glucose":5}}`, "schema 2",
+		{"sample schema skew", `{"schema":3,"concentrations":{"glucose":5}}`, "schema 3",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
 		{"sample schema missing", `{"concentrations":{"glucose":5}}`, "schema 0",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
-		{"sample unknown field", `{"schema":1,"concentrations":{"glucose":5},"priority":9}`, "unknown field",
+		{"sample unknown field", `{"schema":2,"concentrations":{"glucose":5},"priority":9}`, "unknown field",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
-		{"sample trailing data", `{"schema":1,"concentrations":{"glucose":5}} {"x":1}`, "trailing",
+		{"sample trailing data", `{"schema":2,"concentrations":{"glucose":5}} {"x":1}`, "trailing",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
-		{"sample unknown species", `{"schema":1,"concentrations":{"unobtainium":5}}`, "unknown species",
+		{"sample unknown species", `{"schema":2,"concentrations":{"unobtainium":5}}`, "unknown species",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
-		{"sample negative concentration", `{"schema":1,"concentrations":{"glucose":-1}}`, "negative",
+		{"sample negative concentration", `{"schema":2,"concentrations":{"glucose":-1}}`, "negative",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
-		{"sample unphysical concentration", `{"schema":1,"concentrations":{"glucose":1e30}}`, "bound",
+		{"sample unphysical concentration", `{"schema":2,"concentrations":{"glucose":1e30}}`, "bound",
 			func(p string) error { _, err := UnmarshalSample([]byte(p)); return err }},
 		{"result schema skew", `{"schema":7,"readings":[],"panel_seconds":90}`, "schema 7",
 			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
-		{"result unknown field", `{"schema":1,"readings":[],"panel_seconds":90,"lab":"x"}`, "unknown field",
+		{"result unknown field", `{"schema":2,"readings":[],"panel_seconds":90,"lab":"x"}`, "unknown field",
 			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
-		{"result negative noise model", `{"schema":1,"readings":[],"panel_seconds":90,"noise_model":-1}`, "noise_model",
+		{"result negative noise model", `{"schema":2,"readings":[],"panel_seconds":90,"noise_model":-1}`, "noise_model",
 			func(p string) error { _, err := UnmarshalResult([]byte(p)); return err }},
 		{"outcome schema skew", `{"schema":0,"seq":0,"index":0,"shard":0}`, "schema 0",
 			func(p string) error { _, err := UnmarshalOutcome([]byte(p)); return err }},
-		{"outcome result schema skew", `{"schema":1,"seq":0,"index":0,"shard":0,"result":{"schema":2,"readings":[],"panel_seconds":1},"scheduled_start_s":0,"wall_s":0}`, "schema 2",
+		{"outcome result schema skew", `{"schema":2,"seq":0,"index":0,"shard":0,"result":{"schema":3,"readings":[],"panel_seconds":1},"scheduled_start_s":0,"wall_s":0}`, "schema 3",
 			func(p string) error { _, err := UnmarshalOutcome([]byte(p)); return err }},
 	}
 	for _, tc := range cases {
