@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"advdiag"
+)
 
 // The allocation-regression tests pin the batched acquisition path's
 // headline win (PR 9): routing the Fig. 2 chain and Fig. 4 panel
@@ -38,5 +42,42 @@ func TestFig4AllocCeiling(t *testing.T) {
 	})
 	if allocs > 1000 {
 		t.Fatalf("Fig. 4 panel assembly allocates %.0f objects/run, want ≤ 1000 (the PR 3 baseline was 2102)", allocs)
+	}
+}
+
+// TestRunMonitorAllocCeiling pins the pooled monitor tick: a tick
+// allocates only the two series it returns plus a couple of small
+// per-run objects inside measure.RunCA (4 allocs on go1.24; the
+// per-tick construction it replaced took 62). The ceiling leaves room
+// for an injection's sampler and sort.
+func TestRunMonitorAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratches at random, so a tick's count includes rebuilding one")
+	}
+	p, err := advdiag.DesignPlatform([]string{"glucose", "lactate"}, advdiag.WithPlatformSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []advdiag.MonitorRequest{
+		{ID: "two-phase", Target: "glucose", ConcentrationMM: 2, DurationSeconds: 30, BaselineSeconds: 5, AgeHours: 36},
+		{ID: "injection", Target: "lactate", ConcentrationMM: 1.2, DurationSeconds: 30, Polymer: true,
+			Injections: []advdiag.InjectionEvent{{AtSeconds: 15, DeltaMM: 0.6}}},
+	} {
+		if out := lab.RunMonitor(req); out.Err != nil { // warm the calibration cache and the scratch
+			t.Fatal(out.Err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			req.Seed++
+			if out := lab.RunMonitor(req); out.Err != nil {
+				t.Fatal(out.Err)
+			}
+		})
+		if allocs > 8 {
+			t.Fatalf("%s monitor tick allocates %.0f objects, want ≤ 8 (the per-tick construction path took 62)", req.ID, allocs)
+		}
 	}
 }

@@ -23,23 +23,10 @@ var ErrBadFit = errors.New("mathx: degenerate regression input")
 
 // FitLinear performs ordinary least squares of y on x.
 func FitLinear(x, y []float64) (LinearFit, error) {
-	if len(x) != len(y) || len(x) < 2 {
-		return LinearFit{}, ErrBadFit
+	slope, mx, my, syy, err := ols(x, y)
+	if err != nil {
+		return LinearFit{}, err
 	}
-	n := float64(len(x))
-	mx, my := Mean(x), Mean(y)
-	var sxx, sxy, syy float64
-	for i := range x {
-		dx := x[i] - mx
-		dy := y[i] - my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, ErrBadFit
-	}
-	slope := sxy / sxx
 	intercept := my - slope*mx
 	fit := LinearFit{Slope: slope, Intercept: intercept}
 	fit.Residuals = make([]float64, len(x))
@@ -57,8 +44,36 @@ func FitLinear(x, y []float64) (LinearFit, error) {
 	} else {
 		fit.R2 = 1
 	}
-	_ = n
 	return fit, nil
+}
+
+// LinearSlope returns FitLinear's slope without building residuals,
+// so allocation-free callers that need only the trend (a tail-drift
+// check) share FitLinear's exact bits.
+func LinearSlope(x, y []float64) (float64, error) {
+	slope, _, _, _, err := ols(x, y)
+	return slope, err
+}
+
+// ols is the shared least-squares core: the means, the slope, and the
+// centred y sum of squares R² needs.
+func ols(x, y []float64) (slope, mx, my, syy float64, err error) {
+	if len(x) != len(y) || len(x) < 2 {
+		return 0, 0, 0, 0, ErrBadFit
+	}
+	mx, my = Mean(x), Mean(y)
+	var sxx, sxy float64
+	for i := range x {
+		dx := x[i] - mx
+		dy := y[i] - my
+		sxx += dx * dx
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if sxx == 0 {
+		return 0, 0, 0, 0, ErrBadFit
+	}
+	return sxy / sxx, mx, my, syy, nil
 }
 
 // Eval returns Slope·x + Intercept.

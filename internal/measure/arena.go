@@ -13,8 +13,10 @@ import (
 // An engine with an arena attached (SetArena) carves its result traces
 // out of the arena instead of the heap: results remain structurally
 // identical but alias arena memory, valid only until the arena's next
-// Reset. Callers that retain traces (experiments, monitors, the CSV
-// exporters) simply run without an arena — the default — and get
+// Reset. Callers that retain traces either copy out what they keep
+// before the next Reset (runtime.Executor.RunMonitor returns fresh
+// copies of its times and currents) or run without an arena — the
+// default, as experiments and the CSV exporters do — and get
 // heap-allocated results exactly as before. An arena belongs to one
 // goroutine.
 type Arena struct {

@@ -10,6 +10,10 @@ import (
 	"advdiag/internal/phys"
 )
 
+// DefaultCASampleInterval is the chronoamperometric recording interval
+// in seconds that a zero Chronoamperometry.SampleInterval selects.
+const DefaultCASampleInterval = 0.1
+
 // Chronoamperometry holds the working electrode at a fixed potential
 // and records the current transient (oxidase readout, paper §I-B).
 type Chronoamperometry struct {
@@ -18,7 +22,8 @@ type Chronoamperometry struct {
 	Potential phys.Voltage
 	// Duration is the total measurement time in seconds.
 	Duration float64
-	// SampleInterval is the recording interval; zero defaults to 0.1 s.
+	// SampleInterval is the recording interval; zero defaults to
+	// DefaultCASampleInterval.
 	SampleInterval float64
 	// BaselinePhase, when positive, runs a two-phase protocol: the
 	// electrode's own target is withheld (buffer only) until this time,
@@ -32,7 +37,7 @@ type Chronoamperometry struct {
 // WithDefaults fills unset fields.
 func (p Chronoamperometry) WithDefaults() Chronoamperometry {
 	if p.SampleInterval <= 0 {
-		p.SampleInterval = 0.1
+		p.SampleInterval = DefaultCASampleInterval
 	}
 	if p.Duration <= 0 {
 		p.Duration = 60

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 
+	"advdiag/internal/analog"
 	"advdiag/internal/cell"
 	"advdiag/internal/core"
 	"advdiag/internal/electrode"
@@ -75,7 +76,7 @@ const stepThreshold = 0.2
 
 // AnalyzeMonitorTrace runs the shared transient analysis every
 // monitoring surface (Sensor.Monitor, Executor.RunMonitor) applies to a
-// recorded trace:
+// recorded trace (times ascending):
 //
 //   - no injection and no stimulus time: a flat baseline run — the
 //     trace mean reports as both baseline and steady level, no
@@ -86,6 +87,8 @@ const stepThreshold = 0.2
 //   - one or more injections: step analysis anchored at the first
 //     injection, with the analyzed segment truncated at the second
 //     injection (the analysis contract of MonitorAnalysis).
+//
+//advdiag:hotpath
 func AnalyzeMonitorTrace(times, microAmps []float64, stimulusSeconds float64, injections []Injection) (MonitorAnalysis, error) {
 	if len(injections) == 0 && stimulusSeconds <= 0 {
 		mean := 0.0
@@ -169,12 +172,13 @@ func (s MonitorSpec) effectiveDuration() float64 {
 }
 
 // Validate checks the spec against the runtime input contract, so a
-// spec that validates is a spec the execution engine will accept.
+// spec that validates is a spec the execution engine will accept on
+// any platform that monitors the target.
 func (s MonitorSpec) Validate() error {
 	if s.Target == "" {
 		return fmt.Errorf("advdiag: monitor spec names no target")
 	}
-	if err := ValidateSample(map[string]float64{s.Target: s.ConcentrationMM}); err != nil {
+	if err := validateEntry(s.Target, s.ConcentrationMM); err != nil {
 		return err
 	}
 	if math.IsNaN(s.DurationSeconds) || math.IsInf(s.DurationSeconds, 0) {
@@ -184,6 +188,10 @@ func (s MonitorSpec) Validate() error {
 		return fmt.Errorf("advdiag: negative monitoring duration %g s", s.DurationSeconds)
 	}
 	dur := s.effectiveDuration()
+	const dt = measure.DefaultCASampleInterval
+	if dur < dt {
+		return fmt.Errorf("advdiag: monitoring duration %g s is shorter than the %g s sample interval", dur, dt)
+	}
 	if math.IsNaN(s.BaselineSeconds) || math.IsInf(s.BaselineSeconds, 0) || s.BaselineSeconds < 0 {
 		return fmt.Errorf("advdiag: baseline phase %g s is not a valid duration", s.BaselineSeconds)
 	}
@@ -193,7 +201,25 @@ func (s MonitorSpec) Validate() error {
 	if math.IsNaN(s.AgeHours) || math.IsInf(s.AgeHours, 0) || s.AgeHours < 0 {
 		return fmt.Errorf("advdiag: film age %g h is not a valid age", s.AgeHours)
 	}
-	return ValidateInjections(dur, s.Injections)
+	if err := ValidateInjections(dur, s.Injections); err != nil {
+		return err
+	}
+	// A stimulus (an injection or the baseline-phase end) triggers the
+	// step analysis, which needs signalproc.MinStepSamples samples in
+	// the analysed segment: the whole trace of int(dur/dt)+1 samples,
+	// cut before the second injection when there is one. The recorded
+	// times are i·dt, so the cut keeps enough samples exactly when
+	// sample MinStepSamples−1 still lies before the second injection.
+	if len(s.Injections) == 0 && s.BaselineSeconds <= 0 {
+		return nil
+	}
+	if int(dur/dt)+1 < signalproc.MinStepSamples {
+		return fmt.Errorf("advdiag: a %g s trace holds fewer than the %d samples the step analysis needs", dur, signalproc.MinStepSamples)
+	}
+	if len(s.Injections) > 1 && !(float64(signalproc.MinStepSamples-1)*dt < s.Injections[1].AtSeconds) {
+		return fmt.Errorf("advdiag: second injection at t=%g s leaves fewer than the %d samples the step analysis needs", s.Injections[1].AtSeconds, signalproc.MinStepSamples)
+	}
+	return nil
 }
 
 // MonitorTrace is one executed monitoring acquisition: the recorded
@@ -215,16 +241,83 @@ type MonitorTrace struct {
 	EstimatedMM float64
 }
 
+// monitorScratch is the reusable per-goroutine state of monitor
+// ticks: one rig per chronoamperometric electrode plan and the trace
+// arena the rigs' engines record into. Like panelScratch it only
+// recycles allocations — every tick rebuilds the rig's solution, film
+// state, noise stream and chain in place — so a tick on a reused
+// scratch is bit-identical to one on a fresh scratch.
+type monitorScratch struct {
+	rigs  map[string]*monitorRig
+	arena measure.Arena
+}
+
+// monitorRig is an isolated three-electrode cell around one planned
+// working electrode (the monitored patient occupies one chamber, not
+// the whole panel), with its engine and acquisition chain. The rig's
+// electrode is a private copy built from the plan, so per-tick film
+// state never touches the platform's shared electrode objects.
+type monitorRig struct {
+	sol   *cell.Solution
+	we    *electrode.Electrode
+	eng   *measure.Engine
+	chain *analog.Chain
+}
+
+// rig returns the scratch's rig for the electrode plan, building it on
+// first use.
+func (s *monitorScratch) rig(e *Executor, ep core.ElectrodePlan) (*monitorRig, error) {
+	if r := s.rigs[ep.Name]; r != nil {
+		return r, nil
+	}
+	r := &monitorRig{sol: cell.NewSolution(), we: electrode.NewWorking(ep.Name, ep.Nano, ep.Assays[0])}
+	c := cell.NewSingleChamber(r.sol, r.we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
+	eng, err := measure.NewEngine(c, 0)
+	if err != nil {
+		return nil, err
+	}
+	eng.SetArena(&s.arena)
+	chain, err := e.inner.ChainFor(ep.Name, eng.RNG())
+	if err != nil {
+		return nil, err
+	}
+	r.eng, r.chain = eng, chain
+	if s.rigs == nil {
+		s.rigs = make(map[string]*monitorRig)
+	}
+	s.rigs[ep.Name] = r
+	return r, nil
+}
+
 // RunMonitor executes one continuous monitoring acquisition on the
-// platform's chronoamperometric electrode for spec.Target: an isolated
-// three-electrode cell is built from the electrode's planned
-// construction (the monitored patient occupies one chamber, not the
-// whole panel), the film is aged to spec.AgeHours, and the trace is
-// recorded and analyzed. Calibration state comes from the shared cache;
-// the noise stream is seeded by the caller (schedulers derive it from
-// campaign identity via MonitorSeed), so two calls with the same spec
-// and seed are byte-identical on any goroutine, worker, or shard.
+// platform's chronoamperometric electrode for spec.Target: the
+// electrode's isolated cell is filled with the spec's solution, the
+// film is aged to spec.AgeHours, and the trace is recorded and
+// analyzed. Calibration state comes from the shared cache; the noise
+// stream is seeded by the caller (schedulers derive it from campaign
+// identity via MonitorSeed), so two calls with the same spec and seed
+// are byte-identical on any goroutine, worker, or shard.
+//
+// The cell, engine, chain and trace buffers come from a pooled
+// scratch; the returned series are fresh copies that the caller owns
+// (see the README's buffer-retention contract).
+//
+//advdiag:hotpath
 func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, error) {
+	s, _ := e.monitors.Get().(*monitorScratch)
+	if s == nil {
+		s = &monitorScratch{}
+	}
+	out, err := e.monitorWith(s, spec, seed)
+	e.monitors.Put(s)
+	return out, err
+}
+
+// monitorWith is the monitor kernel: RunMonitor's body over a reusable
+// scratch. See RunMonitor for the execution contract.
+//
+//advdiag:hotpath
+func (e *Executor) monitorWith(s *monitorScratch, spec MonitorSpec, seed uint64) (MonitorTrace, error) {
 	if err := spec.Validate(); err != nil {
 		return MonitorTrace{}, err
 	}
@@ -236,30 +329,26 @@ func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, erro
 	if err != nil {
 		return MonitorTrace{}, err
 	}
+	r, err := s.rig(e, ep)
+	if err != nil {
+		return MonitorTrace{}, err
+	}
 
-	// A dedicated cell per run: the platform's shared electrode objects
-	// must not be mutated (film age is per-acquisition state), so the
-	// working electrode is rebuilt from its plan with the requested age.
-	we := electrode.NewWorking(ep.Name, ep.Nano, ep.Assays[0])
-	we.Func.PolymerStabilized = spec.Polymer
-	we.Func.AgeSeconds = spec.AgeHours * 3600
-	sol := cell.NewSolution()
+	r.sol.Reset()
 	if spec.ConcentrationMM > 0 {
-		sol.Set(spec.Target, phys.MilliMolar(spec.ConcentrationMM))
+		r.sol.Set(spec.Target, phys.MilliMolar(spec.ConcentrationMM))
 	}
 	for _, inj := range spec.Injections {
-		sol.Inject(inj.AtSeconds, spec.Target, phys.MilliMolar(inj.DeltaMM))
+		r.sol.Inject(inj.AtSeconds, spec.Target, phys.MilliMolar(inj.DeltaMM))
 	}
-	c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
-	eng, err := measure.NewEngine(c, seed)
-	if err != nil {
-		return MonitorTrace{}, err
-	}
-	chain, err := e.inner.ChainFor(ep.Name, eng.RNG())
-	if err != nil {
-		return MonitorTrace{}, err
-	}
-	res, err := eng.RunCA(ep.Name, chain, measure.Chronoamperometry{
+	r.we.Func.PolymerStabilized = spec.Polymer
+	r.we.Func.AgeSeconds = spec.AgeHours * 3600
+	r.eng.Reseed(seed)
+	// Replays the exact RNG draws chain construction consumes, so the
+	// noise streams match a chain built on a fresh engine at seed.
+	r.chain.Rebind(r.eng.RNG())
+	s.arena.Reset()
+	res, err := r.eng.RunCA(ep.Name, r.chain, measure.Chronoamperometry{
 		Duration:      spec.DurationSeconds,
 		BaselinePhase: spec.BaselineSeconds,
 	})
@@ -267,9 +356,14 @@ func (e *Executor) RunMonitor(spec MonitorSpec, seed uint64) (MonitorTrace, erro
 		return MonitorTrace{}, err
 	}
 
-	out := MonitorTrace{TimesSeconds: res.Current.Times()}
-	out.CurrentsMicroAmps = make([]float64, res.Current.Len())
-	for i, v := range res.Current.Values {
+	// res aliases the arena; only these two fresh copies leave.
+	cur := res.Current
+	out := MonitorTrace{
+		TimesSeconds:      make([]float64, cur.Len()),
+		CurrentsMicroAmps: make([]float64, cur.Len()),
+	}
+	for i, v := range cur.Values {
+		out.TimesSeconds[i] = cur.Time(i)
 		out.CurrentsMicroAmps[i] = v * 1e6
 	}
 	out.Analysis, err = AnalyzeMonitorTrace(out.TimesSeconds, out.CurrentsMicroAmps, spec.BaselineSeconds, spec.Injections)

@@ -59,6 +59,9 @@ type Executor struct {
 	// chain + trace state of a panel run) so sequential runs recycle
 	// their allocations. See panelScratch in batch.go.
 	scratch sync.Pool
+	// monitors pools monitorScratch values the same way for
+	// RunMonitor. See monitorScratch in monitor.go.
+	monitors sync.Pool
 }
 
 // NewExecutor builds the execution engine for a synthesized platform.

@@ -12,6 +12,9 @@ import (
 // needs.
 var ErrTooShort = errors.New("signalproc: series too short")
 
+// ErrUnordered is returned when sample times that must ascend do not.
+var ErrUnordered = errors.New("signalproc: sample times not ascending")
+
 // MovingAverage smooths xs with a centered window of the given odd
 // width. Edges use the available partial window. Width ≤ 1 returns a
 // copy.

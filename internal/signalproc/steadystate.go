@@ -23,27 +23,47 @@ type StepResponse struct {
 	Settled bool
 }
 
+// MinStepSamples is the shortest series AnalyzeStep accepts.
+const MinStepSamples = 8
+
 // AnalyzeStep characterizes a step response. times/values are the
 // sampled signal, stimulusTime the moment the analyte was added.
 // tailFrac is the final fraction of the series treated as steady state
-// (e.g. 0.2).
+// (e.g. 0.2). times must ascend (equal neighbours are allowed); a
+// series whose times decrease is rejected with ErrUnordered.
+//
+// The analysis runs in one allocation-free pass over the series: the
+// post-stimulus segment is the suffix times[k:], its smoothed values
+// are computed on the fly, and the T90 crossing and the |dV/dt|
+// maximum are found as the pass goes.
+//
+//advdiag:hotpath
 func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepResponse, error) {
-	if len(times) != len(values) || len(values) < 8 {
+	if len(times) != len(values) || len(values) < MinStepSamples {
 		return StepResponse{}, ErrTooShort
+	}
+	for i := 1; i < len(times); i++ {
+		if !(times[i] >= times[i-1]) {
+			return StepResponse{}, ErrUnordered
+		}
 	}
 	var resp StepResponse
 
-	// Baseline: mean of samples strictly before the stimulus.
-	var pre []float64
-	for i, t := range times {
-		if t < stimulusTime {
-			pre = append(pre, values[i])
+	// Baseline: mean of samples strictly before the stimulus. Times
+	// ascend, so these form a prefix, and the post-stimulus samples
+	// (t >= stimulusTime) the suffix times[k:] after it; a NaN
+	// stimulus time belongs to neither.
+	k, nPre, pre := 0, 0, 0.0
+	for ; k < len(times) && !(times[k] >= stimulusTime); k++ {
+		if times[k] < stimulusTime {
+			pre += values[k]
+			nPre++
 		}
 	}
-	if len(pre) == 0 {
+	if nPre == 0 {
 		resp.Baseline = values[0]
 	} else {
-		resp.Baseline = mathx.Mean(pre)
+		resp.Baseline = pre / float64(nPre)
 	}
 
 	// Steady state: mean of the final tail.
@@ -62,9 +82,8 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 	}
 
 	// Settled check: the tail should drift by less than 2 % of the step.
-	fit, err := mathx.FitLinear(tailTimes, tail)
-	if err == nil {
-		drift := fit.Slope * (tailTimes[len(tailTimes)-1] - tailTimes[0])
+	if slope, err := mathx.LinearSlope(tailTimes, tail); err == nil {
+		drift := slope * (tailTimes[len(tailTimes)-1] - tailTimes[0])
 		resp.Settled = abs(drift) < 0.02*abs(step)
 	}
 
@@ -72,41 +91,92 @@ func AnalyzeStep(times, values []float64, stimulusTime, tailFrac float64) (StepR
 	// The raw trace carries the blank noise of the sensor, which biases
 	// threshold crossings early; smooth with a centered window (~2.5 %
 	// of the record) before timing, as an experimenter would.
+	post, postT := values[k:], times[k:]
+	if len(post) < 2 {
+		return resp, nil
+	}
 	level := resp.Baseline + 0.9*step
-	var post []float64
-	var postT []float64
-	for i, t := range times {
-		if t >= stimulusTime {
-			post = append(post, values[i])
-			postT = append(postT, t)
-		}
-	}
+	// The window is odd, 2·half+1 samples: len/40 rounded up to odd and
+	// capped at 51, with no smoothing below 3.
+	half := 0
 	if w := len(post) / 40; w >= 3 {
-		if w%2 == 0 {
-			w++
-		}
-		if w > 51 {
-			w = 51
-		}
-		post = MovingAverage(post, w)
+		half = min(w, 51) / 2
 	}
-	if len(post) >= 2 {
-		if tc, err := mathx.CrossingTime(postT, post, level); err == nil {
+	// One pass over the smoothed segment finds the first crossing of
+	// level (interpolated as mathx.CrossingTime does) and the transient
+	// response time: the first maximum of |dV/dt|, from the centred
+	// finite difference (one-sided at the ends) that Derivative
+	// computes. The derivative needs a positive sample spacing.
+	dt := postT[1] - postT[0]
+	slopeOK := !(dt <= 0)
+	found := false
+	var peak absMax
+	// s0, s1, s2 hold the smoothed values at i−2, i−1 and i.
+	var s0, s1, s2 float64
+	rising := false
+	for i := range post {
+		s0, s1, s2 = s1, s2, smoothAt(post, i, half)
+		if i == 0 {
+			rising = s2 < level
+			continue
+		}
+		if !found && ((rising && s2 >= level) || (!rising && s2 <= level)) {
+			found = true
+			tc := postT[i]
+			if s2 != s1 {
+				u := (level - s1) / (s2 - s1)
+				tc = postT[i-1] + u*(postT[i]-postT[i-1])
+			}
 			resp.T90 = tc - stimulusTime
 		}
-		// Transient response time: max |dV/dt| after the stimulus.
-		dt := postT[1] - postT[0]
-		if d, err := Derivative(post, dt); err == nil {
-			maxI, maxD := 0, 0.0
-			for i, v := range d {
-				if a := abs(v); a > maxD {
-					maxD, maxI = a, i
-				}
+		if slopeOK {
+			if i == 1 {
+				peak.note(0, (s2-s1)/dt)
+			} else {
+				peak.note(i-1, (s2-s0)/(2*dt))
 			}
-			resp.TTransient = postT[maxI] - stimulusTime
 		}
 	}
+	if slopeOK {
+		peak.note(len(post)-1, (s2-s1)/dt)
+		resp.TTransient = postT[peak.i] - stimulusTime
+	}
 	return resp, nil
+}
+
+// absMax tracks the first index of the largest |value| noted, starting
+// from index 0 at magnitude 0 (a later value must be strictly larger).
+type absMax struct {
+	i int
+	v float64
+}
+
+func (m *absMax) note(i int, d float64) {
+	if a := abs(d); a > m.v {
+		m.v, m.i = a, i
+	}
+}
+
+// smoothAt is MovingAverage(xs, 2·half+1)[i] without the output slice:
+// the mean of the centred window, clipped at the edges and summed in
+// index order. half == 0 returns xs[i] unchanged.
+func smoothAt(xs []float64, i, half int) float64 {
+	if half == 0 {
+		return xs[i]
+	}
+	lo := i - half
+	if lo < 0 {
+		lo = 0
+	}
+	hi := i + half
+	if hi > len(xs)-1 {
+		hi = len(xs) - 1
+	}
+	s := 0.0
+	for j := lo; j <= hi; j++ {
+		s += xs[j]
+	}
+	return s / float64(hi-lo+1)
 }
 
 func abs(x float64) float64 {

@@ -46,3 +46,30 @@ func BenchmarkRunPanelFig4(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRunMonitorTick measures one monitor tick through the public
+// Lab.RunMonitor: the monitor-population shape of a 30 s trace with a
+// 5 s baseline phase, on a calibration-warm glucose/lactate platform.
+func BenchmarkRunMonitorTick(b *testing.B) {
+	p, err := advdiag.DesignPlatform([]string{"glucose", "lactate"}, advdiag.WithPlatformSeed(9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := advdiag.MonitorRequest{ID: "bench", Target: "glucose", ConcentrationMM: 2,
+		DurationSeconds: 30, BaselineSeconds: 5, AgeHours: 36}
+	if out := lab.RunMonitor(req); out.Err != nil { // warm the calibration cache
+		b.Fatal(out.Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req.Tick, req.Seed = i, uint64(i)
+		if out := lab.RunMonitor(req); out.Err != nil {
+			b.Fatal(out.Err)
+		}
+	}
+}
