@@ -195,11 +195,12 @@
 // seed, target) inside internal/runtime, so two fleets with the same
 // plan and traffic fail identically — which is what makes every
 // diagnosis scenario an ordinary table test instead of a flaky chaos
-// run. A healthy fleet pays one atomic nil-check per job.
+// run. Every fault acts in one place, the shard's execution step, and
+// a healthy fleet pays one atomic load per dequeue.
 //
 // Quarantine removes a shard from the routing view (every Router is
 // quarantine-aware for free — it simply cannot pick a shard it cannot
-// see) and reroutes the shard's parked and queued work to siblings.
+// see) and reroutes the shard's held and queued work to siblings.
 // Rerouted jobs keep their fleet submission indices, so their noise
 // streams — and therefore their PanelResult fingerprints — are
 // byte-identical to an unfaulted run: quarantine loses no panels and
@@ -344,11 +345,19 @@
 //
 //   - Panels run through a batched kernel: the runtime Executor's
 //     RunBatch amortises per-panel setup across a slice of samples
-//     using pooled scratch arenas (sync.Pool), Lab chunks its batches
-//     through it, and Fleet shards opportunistically coalesce queued
-//     compatible jobs into bounded batches (at most 16) without
-//     reordering submission indices — the per-panel seed derivation
-//     and ReplayPanel's bit-identical replay contract are untouched.
+//     using pooled scratch arenas (sync.Pool), and Lab chunks its
+//     batches through it. A Fleet shard has one execution step, exec,
+//     that every dequeued job goes through: it gates the job on the
+//     shard's fault state (a dead shard or a flaky down slot sends it
+//     to hold, which keeps it without losing it), delays it on a slow
+//     shard, drops it if its requester has gone, and runs the
+//     surviving panels as one batch — a lone panel is a batch of one —
+//     followed by a trailing monitor job. On a healthy or fouled shard
+//     the worker first drains the panel jobs already queued (without
+//     waiting, at most 16, stopping after a monitor) into that batch,
+//     without reordering submission indices — the per-panel seed
+//     derivation and ReplayPanel's bit-identical replay contract are
+//     untouched.
 //
 // Retention contract: everything a run returns (trace series, panel
 // readings) is freshly allocated and caller-owned; results never alias

@@ -2,10 +2,8 @@ package advdiag
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -178,8 +176,8 @@ type fleetShard struct {
 // unused, because monitor campaigns live on a virtual timeline, not
 // the shard's back-to-back instrument schedule.
 //
-// A job travels with its completion target through queues, reroutes,
-// parking and stalls: done (panels) or mdone (monitors) receives the
+// A job travels with its completion target through queues, reroutes
+// and holds: done (panels) or mdone (monitors) receives the
 // outcome when set, Results or MonitorResults when nil. The callbacks
 // run on the worker that completes the job and must not block. ctx,
 // when set, is the requester's context: a job whose ctx is done by the
@@ -208,150 +206,6 @@ func (j *fleetJob) routingSample() Sample {
 		return monitorRoutingSample(*j.monitor)
 	}
 	return j.sample
-}
-
-// shardFaultState is the compiled, immutable fault configuration a
-// shard's workers consult before each job. It is swapped atomically as
-// a whole: workers either see the previous state or the next, never a
-// torn mix. nil means healthy.
-type shardFaultState struct {
-	// fouling perturbs the analog chain of matching electrodes
-	// (FaultFouledElectrode).
-	fouling *rt.Fouling
-	// dead parks dequeued jobs instead of running them
-	// (FaultDeadShard).
-	dead bool
-	// delay stalls each job before it runs (FaultSlowShard).
-	delay time.Duration
-	// flaky stalls jobs that land on down slots of a seeded duty cycle
-	// (FaultFlakyShard).
-	flaky *flakyState
-	// lifted is closed when the dead fault lifts (quarantine, clear, or
-	// fleet close); parked workers resume from it.
-	lifted chan struct{}
-}
-
-// flakyState is a FaultFlakyShard's compiled duty cycle: a shared slot
-// counter — jobs and health probes draw from the same sequence, so the
-// breaker sees the same intermittency the traffic does — mapped onto a
-// period of down-then-up slots, phase-shifted by the fault seed.
-type flakyState struct {
-	period, down, offset uint64
-	n                    atomic.Uint64
-}
-
-// downNow consumes one slot and reports whether it is a down slot.
-func (fk *flakyState) downNow() bool {
-	slot := fk.n.Add(1) - 1
-	return (fk.offset+slot)%fk.period < fk.down
-}
-
-// BreakerState is a shard's circuit-breaker position, surfaced in
-// FleetShardStats.
-type BreakerState int
-
-const (
-	// BreakerClosed is the healthy position: the shard is in the routing
-	// view and serves traffic.
-	BreakerClosed BreakerState = iota
-	// BreakerOpen means consecutive probe failures — or a quarantine
-	// verdict from the Diagnoser or an operator — tripped the breaker:
-	// the shard is out of the routing view and sees probe traffic only.
-	BreakerOpen
-	// BreakerHalfOpen means an open shard's probes have started matching
-	// its known-good fingerprint again: still out of the routing view,
-	// but restoreThreshold consecutive matches away from being restored.
-	BreakerHalfOpen
-)
-
-// String names the breaker position.
-func (b BreakerState) String() string {
-	switch b {
-	case BreakerClosed:
-		return "closed"
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
-	default:
-		return fmt.Sprintf("BreakerState(%d)", int(b))
-	}
-}
-
-// MarshalJSON encodes the position as its String form — what the
-// operator-facing stats JSON wants.
-func (b BreakerState) MarshalJSON() ([]byte, error) { return json.Marshal(b.String()) }
-
-// UnmarshalJSON decodes the String form.
-func (b *BreakerState) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	switch s {
-	case "closed":
-		*b = BreakerClosed
-	case "open":
-		*b = BreakerOpen
-	case "half-open":
-		*b = BreakerHalfOpen
-	default:
-		return fmt.Errorf("advdiag: unknown breaker state %q", s)
-	}
-	return nil
-}
-
-// Fleet lifecycle event kinds, as recorded in the history ring. They
-// mirror the wire package's DiagnosisEvent vocabulary.
-const (
-	EventShardAdded   = "shard_added"
-	EventShardRemoved = "shard_removed"
-	EventQuarantined  = "quarantined"
-	EventProbed       = "probed"
-	EventRestored     = "restored"
-)
-
-// FleetEvent is one timestamped entry of the fleet's lifecycle
-// history: topology changes, quarantine verdicts, probe transitions,
-// automatic restores. The fleet keeps the most recent fleetEventCap
-// entries; the Diagnoser attaches them to every Diagnosis, so
-// GET /v1/diagnosis serves an operator timeline.
-type FleetEvent struct {
-	At     time.Time
-	Kind   string
-	Shard  int
-	Detail string
-}
-
-// fleetEventCap bounds the history ring.
-const fleetEventCap = 256
-
-// recordEventLocked appends one event to the history ring (callers
-// hold f.mu).
-func (f *Fleet) recordEventLocked(kind string, shard int, detail string) {
-	ev := FleetEvent{At: time.Now(), Kind: kind, Shard: shard, Detail: detail}
-	if len(f.events) < fleetEventCap {
-		f.events = append(f.events, ev)
-	} else {
-		f.events[f.eventSeq%fleetEventCap] = ev
-	}
-	f.eventSeq++
-}
-
-// Events returns the lifecycle history, oldest first — at most the
-// most recent fleetEventCap entries.
-func (f *Fleet) Events() []FleetEvent {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FleetEvent, 0, len(f.events))
-	if f.eventSeq > len(f.events) {
-		start := f.eventSeq % fleetEventCap
-		out = append(out, f.events[start:]...)
-		out = append(out, f.events[:start]...)
-	} else {
-		out = append(out, f.events...)
-	}
-	return out
 }
 
 // FleetOption customizes a Fleet.
@@ -479,139 +333,109 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 func (f *Fleet) Shards() int { return len(f.shards) }
 
 // shardWorker executes routed jobs for one shard until its queue
-// closes, consulting the shard's fault state before each job. The
-// healthy path costs one atomic nil-check, and opportunistically
-// coalesces whatever compatible panel jobs are already queued into one
-// bounded batch over a shared executor scratch: the drain is
-// non-blocking (a worker never waits for a batch to fill), stops at
-// monitor jobs and at fault states that need per-job handling, and
-// preserves queue order, so submission indices — and with them every
-// panel's noise stream — are untouched.
+// closes. Each dequeue takes one fault snapshot. While that snapshot
+// allows coalescing, the worker also drains the panel jobs already
+// queued behind the first one — without waiting for more, up to
+// labBatchMax, stopping after a monitor job — so a burst runs over one
+// shared executor scratch. Every run, a single job included, goes
+// through exec. Queue order is preserved, so submission indices, and
+// with them every panel's noise stream, are untouched.
 func (f *Fleet) shardWorker(sh *fleetShard) {
 	defer f.workWG.Done()
 	jobs := make([]fleetJob, 0, labBatchMax)
 	for job := range sh.queue {
 		fs := sh.fault.Load()
-		if job.monitor != nil || !batchableFault(fs) {
-			f.dispatchJob(sh, job)
-			continue
-		}
 		jobs = append(jobs[:0], job)
-		var (
-			tail    fleetJob // monitor job that ended the drain
-			hasTail bool
-			closed  bool
-		)
-	drain:
-		for len(jobs) < labBatchMax {
-			select {
-			case next, ok := <-sh.queue:
-				if !ok {
-					closed = true
+		closed := false
+		if job.monitor == nil && fs.coalesces() {
+		drain:
+			for len(jobs) < labBatchMax {
+				select {
+				case next, ok := <-sh.queue:
+					if !ok {
+						closed = true
+						break drain
+					}
+					jobs = append(jobs, next)
+					if next.monitor != nil {
+						break drain
+					}
+				default:
 					break drain
 				}
-				if next.monitor != nil {
-					tail, hasTail = next, true
-					break drain
-				}
-				jobs = append(jobs, next)
-			default:
-				break drain
 			}
 		}
-		f.runJobBatch(sh, jobs, fs)
-		if hasTail {
-			f.dispatchJob(sh, tail)
-		}
+		f.exec(sh, fs, jobs)
 		if closed {
 			return
 		}
 	}
 }
 
-// batchableFault reports whether a shard's fault state allows coalesced
-// execution: healthy shards and fouled-electrode shards batch (fouling
-// is a pure per-panel signal perturbation), while dead, flaky and slow
-// shards need dispatchJob's per-job park/stall/delay handling.
-func batchableFault(fs *shardFaultState) bool {
-	return fs == nil || (!fs.dead && fs.flaky == nil && fs.delay == 0)
-}
-
-// runJobBatch executes a coalesced run of panel jobs under one fault
-// snapshot and delivers the outcomes in submission order; abandoned
-// jobs complete first, without running. Fault states injected mid-batch
-// take effect from the next dequeue, exactly as a fault injected
-// mid-panel waits for the next job on the per-job path.
-func (f *Fleet) runJobBatch(sh *fleetShard, jobs []fleetJob, fs *shardFaultState) {
-	var fouling *rt.Fouling
-	if fs != nil {
-		fouling = fs.fouling
-	}
+// exec is the one place a dequeued job turns into an outcome. Under
+// the fault snapshot fs, each job in turn is gated (a dead shard or a
+// flaky down slot sends it to hold), delayed by a slow shard while its
+// requester is still waiting, and dropped with its context error once
+// the requester has gone. The surviving panels then run as one batch
+// over one executor scratch, and a trailing monitor job — a run holds
+// at most one, always last — runs after them. A fault injected
+// mid-run takes effect from the next dequeue.
+//
+//advdiag:hotpath
+func (f *Fleet) exec(sh *fleetShard, fs *shardFaultState, jobs []fleetJob) {
 	live := jobs[:0]
 	for _, j := range jobs {
+		if fs.down() {
+			if !f.hold(sh, fs, j) {
+				// Cold: the fault state changed under the hold, so the
+				// job is judged afresh against the current one.
+				f.exec(sh, sh.fault.Load(), []fleetJob{j})
+			}
+			continue
+		}
+		if fs != nil && fs.delay > 0 && j.abandoned() == nil {
+			time.Sleep(fs.delay)
+		}
 		if err := j.abandoned(); err != nil {
 			f.failJob(sh, j, err)
 			continue
 		}
 		live = append(live, j)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		f.runJob(sh, live[0], fouling)
-		return
+	var mon *fleetJob
+	if n := len(live); n > 0 && live[n-1].monitor != nil {
+		mon, live = &live[n-1], live[:n-1]
 	}
-	outs := make([]PanelOutcome, len(live))
-	sh.core.runBatch(live, fouling, outs)
-	for i, j := range live {
-		outs[i].Shard = sh.index
-		f.finishPanel(sh, j, outs[i])
+	if len(live) > 0 {
+		outs := make([]PanelOutcome, len(live))
+		sh.core.runBatch(live, fs.fouled(), outs)
+		for i, j := range live {
+			outs[i].Shard = sh.index
+			f.finishPanel(sh, j, outs[i])
+		}
 	}
-}
-
-// dispatchJob runs, parks, or stalls one dequeued job according to the
-// shard's fault state.
-func (f *Fleet) dispatchJob(sh *fleetShard, job fleetJob) {
-	for {
-		fs := sh.fault.Load()
-		if fs != nil && fs.dead {
-			f.parkJob(sh, fs, job)
-			return
-		}
-		if fs != nil && fs.flaky != nil && fs.flaky.downNow() {
-			if f.stallJob(sh, fs, job) {
-				return
-			}
-			// The fault state changed between the slot draw and the
-			// stall — re-evaluate against the current state.
-			continue
-		}
-		if fs != nil && fs.delay > 0 && job.abandoned() == nil {
-			time.Sleep(fs.delay)
-		}
-		var fouling *rt.Fouling
-		if fs != nil {
-			fouling = fs.fouling
-		}
-		f.runJob(sh, job, fouling)
-		return
+	if mon != nil {
+		out := sh.core.runMonitor(mon.seedIdx, *mon.monitor)
+		out.Shard = sh.index
+		f.finishMonitor(sh, *mon, out)
 	}
 }
 
-// stallJob holds a job that hit a flaky shard's down slot. Unlike a
-// dead shard's parkJob, the worker does not block: the job joins the
-// stalled list (rescued by Quarantine, RemoveShard, or ClearFaults —
-// never lost) and the worker moves on, because a flaky shard still
-// serves its up slots. Returns false when the fault state changed
-// under the stall, in which case the caller re-evaluates: ClearFaults
-// reroutes the stalled list it collected under the same lock, so
-// parking against a stale state would orphan the job.
-func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool {
+// hold keeps a job the gate refused, never losing it. On a shard that
+// Quarantine or RemoveShard already drained, the job goes straight to
+// the reroute path. Otherwise it joins the shard's stalled list. A
+// flaky shard's worker then moves on, because the shard still serves
+// its up slots; the job waits for Quarantine, RemoveShard or
+// ClearFaults to reroute it. A dead shard's worker blocks until the
+// fault lifts — a hung instrument keeping its accepted work — and then
+// runs whatever is still stalled through exec, healthy, one job at a
+// time. hold returns false, stalling nothing, when the fault state
+// changed since fs was loaded: the callers that rescue the stalled
+// list collect it under the same lock, so stalling against a stale
+// state could orphan the job. The caller then re-evaluates it.
+func (f *Fleet) hold(sh *fleetShard, fs *shardFaultState, job fleetJob) bool {
 	f.mu.Lock()
 	if sh.quarantined || sh.removed {
-		// The shard's backlog was already drained: hand the straggler to
-		// the reroute path.
 		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
 		f.mu.Unlock()
 		f.deliver(moves, fails)
@@ -623,46 +447,47 @@ func (f *Fleet) stallJob(sh *fleetShard, fs *shardFaultState, job fleetJob) bool
 	}
 	sh.stalled = append(sh.stalled, job)
 	f.mu.Unlock()
+	if !fs.dead {
+		return true
+	}
+	<-fs.lifted
+	// Quarantine empties the stalled list before closing the channel,
+	// so anything still here was released by ClearFaults or Close and
+	// belongs to this (no longer dead) shard.
+	f.mu.Lock()
+	jobs := sh.stalled
+	sh.stalled = nil
+	f.mu.Unlock()
+	for i := range jobs {
+		f.exec(sh, nil, jobs[i:i+1])
+	}
 	return true
-}
-
-// runJob executes one routed job on its shard and delivers the outcome;
-// an abandoned job completes with its context error without running.
-func (f *Fleet) runJob(sh *fleetShard, job fleetJob, fouling *rt.Fouling) {
-	if err := job.abandoned(); err != nil {
-		f.failJob(sh, job, err)
-		return
-	}
-	if job.monitor != nil {
-		out := sh.core.runMonitor(job.seedIdx, *job.monitor)
-		out.Shard = sh.index
-		f.finishMonitor(sh, job, out)
-		return
-	}
-	out := sh.core.runIndexed(job.seedIdx, job.schedIdx, job.sample, fouling)
-	out.Shard = sh.index
-	f.finishPanel(sh, job, out)
 }
 
 // finishPanel hands a panel outcome to its job's completion target —
 // the submitter's done callback, or Results — and records the
-// completion against sh.
+// completion against sh. A callback runs after the completion is
+// recorded, so a requester holding its outcome never reads stats that
+// lag it; a Results send is counted once it has landed, so Drain
+// implies delivery on Results.
 func (f *Fleet) finishPanel(sh *fleetShard, job fleetJob, o PanelOutcome) {
 	if job.done != nil {
+		f.complete(sh, false)
 		job.done(o)
-	} else {
-		f.results <- o
+		return
 	}
+	f.results <- o
 	f.complete(sh, false)
 }
 
 // finishMonitor is finishPanel for monitor jobs.
 func (f *Fleet) finishMonitor(sh *fleetShard, job fleetJob, o MonitorOutcome) {
 	if job.mdone != nil {
+		f.complete(sh, true)
 		job.mdone(o)
-	} else {
-		f.mresults <- o
+		return
 	}
+	f.mresults <- o
 	f.complete(sh, true)
 }
 
@@ -677,37 +502,6 @@ func (f *Fleet) failJob(sh *fleetShard, job fleetJob, err error) {
 		return
 	}
 	f.finishPanel(sh, job, PanelOutcome{Index: job.seedIdx, ID: job.sample.ID, Shard: sh.index, Err: err})
-}
-
-// parkJob holds a job a dead shard's worker dequeued: the job joins the
-// shard's stalled list and the worker blocks until the fault lifts —
-// a hung instrument that keeps its accepted work. Quarantine reroutes
-// the stalled list to siblings; ClearFaults (and Close) release the
-// workers to run whatever is still parked themselves.
-func (f *Fleet) parkJob(sh *fleetShard, fs *shardFaultState, job fleetJob) {
-	f.mu.Lock()
-	if sh.quarantined || sh.removed {
-		// Quarantine or removal already drained this shard: hand the
-		// straggler to the reroute path instead of parking it forever.
-		moves, fails := f.rerouteLocked(sh, []fleetJob{job})
-		f.mu.Unlock()
-		f.deliver(moves, fails)
-		return
-	}
-	sh.stalled = append(sh.stalled, job)
-	f.mu.Unlock()
-
-	<-fs.lifted
-	// The fault lifted. Quarantine empties the stalled list before
-	// closing the channel, so anything still here was released by
-	// ClearFaults or Close and belongs to this (no longer dead) shard.
-	f.mu.Lock()
-	jobs := sh.stalled
-	sh.stalled = nil
-	f.mu.Unlock()
-	for _, j := range jobs {
-		f.runJob(sh, j, nil)
-	}
 }
 
 // complete records one finished job of sh's, advancing the completion
@@ -923,10 +717,12 @@ func (f *Fleet) MonitorResults() <-chan MonitorOutcome { return f.mresults }
 func (f *Fleet) Results() <-chan PanelOutcome { return f.results }
 
 // Drain blocks until every sample accepted before the call has been
-// measured and delivered. Submissions may continue from other
-// goroutines; Drain tracks the count it observed at entry. The caller
-// must keep consuming Results (or rely on its buffering) while
-// draining. Note that a shard held dead by FaultDeadShard never
+// measured and delivered onto Results or MonitorResults (a RunPanels
+// or Server requester's callback may still be running; those
+// requesters wait for their own outcomes). Submissions may continue
+// from other goroutines; Drain tracks the count it observed at entry.
+// The caller must keep consuming Results (or rely on its buffering)
+// while draining. Note that a shard held dead by FaultDeadShard never
 // completes its jobs: Drain then blocks until the shard is quarantined
 // (rerouting its backlog) or the fault is cleared.
 func (f *Fleet) Drain() {
@@ -973,236 +769,6 @@ func (f *Fleet) Close() error {
 	close(f.results)
 	close(f.mresults)
 	return nil
-}
-
-// InjectFault arms one fault on its target shard at run time. Faults
-// of different kinds compose on a shard (a shard can be fouled and
-// slow at once); re-injecting a kind replaces the earlier instance.
-// Injection is atomic per shard: workers observe either the previous
-// fault state or the new one, never a torn mix.
-func (f *Fleet) InjectFault(ft Fault) error {
-	if err := ft.Validate(len(f.shards)); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrFleetClosed
-	}
-	if f.shards[ft.Shard].removed {
-		return fmt.Errorf("advdiag: fault targets removed shard %d", ft.Shard)
-	}
-	f.injectLocked(ft)
-	return nil
-}
-
-// InjectFaults arms a whole plan, validating every fault before arming
-// any — a plan takes effect completely or not at all.
-func (f *Fleet) InjectFaults(plan FaultPlan) error {
-	if err := plan.Validate(len(f.shards)); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return ErrFleetClosed
-	}
-	for _, ft := range plan.Faults {
-		if f.shards[ft.Shard].removed {
-			return fmt.Errorf("advdiag: fault targets removed shard %d", ft.Shard)
-		}
-	}
-	for _, ft := range plan.Faults {
-		f.injectLocked(ft)
-	}
-	return nil
-}
-
-// injectLocked compiles one fault into its shard's state (callers hold
-// f.mu). Copy-on-write: the previous state object stays intact for any
-// worker that already loaded it.
-func (f *Fleet) injectLocked(ft Fault) {
-	sh := f.shards[ft.Shard]
-	ns := &shardFaultState{}
-	if prev := sh.fault.Load(); prev != nil {
-		*ns = *prev
-	}
-	switch ft.Kind {
-	case FaultFouledElectrode:
-		ns.fouling = &rt.Fouling{Target: ft.Target, Severity: ft.Severity, Seed: ft.Seed}
-	case FaultSlowShard:
-		ns.delay = ft.Delay
-	case FaultDeadShard:
-		ns.dead = true
-		if ns.lifted == nil {
-			ns.lifted = make(chan struct{})
-		}
-	case FaultFlakyShard:
-		down := int(math.Round(ft.Severity * float64(ft.Period)))
-		if down < 1 {
-			down = 1
-		}
-		if down > ft.Period-1 {
-			down = ft.Period - 1
-		}
-		ns.flaky = &flakyState{
-			period: uint64(ft.Period),
-			down:   uint64(down),
-			offset: mathx.Mix64(ft.Seed) % uint64(ft.Period),
-		}
-	}
-	sh.fault.Store(ns)
-}
-
-// liftFaultLocked clears a shard's fault state, waking workers parked
-// by a dead fault (callers hold f.mu).
-func (f *Fleet) liftFaultLocked(sh *fleetShard) {
-	fs := sh.fault.Swap(nil)
-	if fs != nil && fs.lifted != nil {
-		close(fs.lifted)
-	}
-}
-
-// liftForQuarantineLocked is the fault lift Quarantine applies
-// (callers hold f.mu). Dead, fouled and slow faults are cleared: a
-// dead fault parks workers that must wake to stay able to serve
-// stragglers already in a Submit handoff, and a fouled or slow fault
-// would distort or delay the straggler that still completes here. A
-// flaky fault persists through quarantine — its down slots never run
-// a job in place (stallJob reroutes off a quarantined shard) and its
-// up slots run healthy, so keeping it is fingerprint-safe — and it
-// keeps the shard demonstrably broken, so health probes hold the
-// breaker open until ClearFaults actually heals the hardware rather
-// than restoring the shard the moment its breaker opens.
-func (f *Fleet) liftForQuarantineLocked(sh *fleetShard) {
-	fs := sh.fault.Load()
-	if fs == nil {
-		return
-	}
-	if fs.flaky == nil {
-		f.liftFaultLocked(sh)
-		return
-	}
-	// Same flakyState pointer: the duty-cycle slot counter keeps
-	// advancing across the quarantine, like the real intermittent
-	// hardware it models.
-	sh.fault.Store(&shardFaultState{flaky: fs.flaky})
-	if fs.lifted != nil {
-		close(fs.lifted)
-	}
-}
-
-// ClearFaults lifts every injected fault: fouled electrodes heal, slow
-// shards speed back up, dead shards' workers wake and run the jobs
-// they were holding (healthy — the fault is gone), and jobs stalled by
-// a flaky shard's down slots are rerouted (often back to the very
-// shard, now healthy — no worker is waiting on them, so they must
-// travel through the reroute path rather than run in place).
-// Quarantine decisions are not reversed; quarantine is a routing-layer
-// verdict, not a fault — health probes lift it once the shard proves
-// itself (see ProbeShards).
-func (f *Fleet) ClearFaults() {
-	f.mu.Lock()
-	var moves []handoff
-	var fails []rerouteFail
-	for _, sh := range f.shards {
-		fs := sh.fault.Load()
-		hadDead := fs != nil && fs.dead
-		f.liftFaultLocked(sh)
-		// A dead shard's parked workers own the stalled list — they wake
-		// on the lifted channel and run it in place. Quarantined and
-		// removed shards were drained already. Anything else stalled
-		// (flaky down-slot jobs) has no owner, so reroute it here.
-		if !hadDead && !sh.quarantined && !sh.removed && len(sh.stalled) > 0 {
-			jobs := sh.stalled
-			sh.stalled = nil
-			mv, fl := f.rerouteLocked(sh, jobs)
-			moves = append(moves, mv...)
-			fails = append(fails, fl...)
-		}
-	}
-	f.mu.Unlock()
-	f.deliver(moves, fails)
-}
-
-// Quarantine removes one shard from every router's view and reroutes
-// its backlog — queued jobs plus any jobs its workers were holding
-// under a dead fault — to the surviving shards. A rerouted panel keeps
-// its fleet submission index, so its noise stream (and therefore its
-// fingerprint) is unchanged: quarantine loses zero panels. Jobs no
-// surviving shard can serve complete with an error outcome instead of
-// vanishing, so Drain and batches never hang on them. Dead, fouled and
-// slow faults on the shard are lifted (its workers must stay able to
-// serve stragglers already in a Submit handoff — such a job still
-// completes on this shard, healthy); a flaky fault persists, keeping
-// the shard demonstrably broken under quarantine so health probes only
-// restore it once ClearFaults heals it (see liftForQuarantineLocked).
-// Quarantining an already-quarantined shard is a no-op; with every
-// shard quarantined routers see an empty fleet and new submissions
-// fail with ErrNoShard.
-//
-// Quarantine may block delivering rerouted jobs when every surviving
-// queue is full (the same backpressure a Submit obeys) — keep
-// consuming Results, as with Submit.
-func (f *Fleet) Quarantine(shard int) error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return ErrFleetClosed
-	}
-	if shard < 0 || shard >= len(f.shards) {
-		f.mu.Unlock()
-		return fmt.Errorf("advdiag: quarantine shard %d outside [0,%d)", shard, len(f.shards))
-	}
-	sh := f.shards[shard]
-	if sh.removed {
-		f.mu.Unlock()
-		return fmt.Errorf("advdiag: quarantine removed shard %d", shard)
-	}
-	if sh.quarantined {
-		f.mu.Unlock()
-		return nil
-	}
-	sh.quarantined = true
-	// Every quarantine opens the breaker — whether it came from probe
-	// failures, a Diagnoser conviction, or an operator — so health
-	// probes can restore any quarantined shard once it proves healthy.
-	sh.breaker = BreakerOpen
-	sh.probeGoods = 0
-	sh.probeFails = 0
-	// Collect the backlog: parked work first (it was accepted first),
-	// then whatever is still queued. Workers mid-park that have not yet
-	// taken the lock will see quarantined and reroute their own job.
-	jobs := sh.stalled
-	sh.stalled = nil
-drain:
-	for {
-		select {
-		case j := <-sh.queue:
-			jobs = append(jobs, j)
-		default:
-			break drain
-		}
-	}
-	f.liftForQuarantineLocked(sh)
-	moves, fails := f.rerouteLocked(sh, jobs)
-	f.recordEventLocked(EventQuarantined, shard, fmt.Sprintf("breaker open, %d backlog jobs rerouted", len(jobs)))
-	f.mu.Unlock()
-	f.deliver(moves, fails)
-	return nil
-}
-
-// Quarantined reports the quarantined shard indices, in order.
-func (f *Fleet) Quarantined() []int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []int
-	for _, sh := range f.shards {
-		if sh.quarantined {
-			out = append(out, sh.index)
-		}
-	}
-	return out
 }
 
 // AddShard grows the fleet by one shard over the given designed
@@ -1259,7 +825,7 @@ func (f *Fleet) AddShard(p *Platform) (int, error) {
 // topology change. Removing the last routable shard is allowed —
 // submissions then fail with ErrNoShard until AddShard grows the fleet
 // again. Removal lifts the shard's fault, so a job a worker had
-// dequeued but not yet parked runs healthy on the removed shard, like
+// dequeued but not yet held runs healthy on the removed shard, like
 // the straggler handoffs retireShard waits for.
 //
 // Like Quarantine, RemoveShard may block delivering rerouted jobs when
@@ -1280,17 +846,7 @@ func (f *Fleet) RemoveShard(shard int) error {
 		return fmt.Errorf("advdiag: shard %d is already removed", shard)
 	}
 	sh.removed = true
-	jobs := sh.stalled
-	sh.stalled = nil
-drain:
-	for {
-		select {
-		case j := <-sh.queue:
-			jobs = append(jobs, j)
-		default:
-			break drain
-		}
-	}
+	jobs := sh.takeBacklogLocked()
 	f.liftFaultLocked(sh)
 	moves, fails := f.rerouteLocked(sh, jobs)
 	f.recordEventLocked(EventShardRemoved, shard, fmt.Sprintf("%d backlog jobs rerouted", len(jobs)))
@@ -1359,169 +915,6 @@ func (f *Fleet) ReplayPanel(shard, index int, s Sample) (PanelResult, error) {
 	return panelResult(p), nil
 }
 
-// probeConcMM is the concentration every probe panel measures each
-// target at — well inside every assay's linear range.
-const probeConcMM = 1.0
-
-// probeBaseline fixes the shard's probe panel (every target at
-// probeConcMM) and records its known-good fingerprint by running it
-// healthy through the platform executor directly — bypassing the Lab
-// so probe traffic never perturbs the serving-path statistics the
-// Diagnoser watches.
-func (f *Fleet) probeBaseline(sh *fleetShard) error {
-	sample := make(map[string]float64, len(sh.targets))
-	for _, t := range sh.targets {
-		sample[t] = probeConcMM
-	}
-	sh.probeSample = sample
-	p, err := sh.core.p.exec.RunFouled(sample, f.probeSeed, nil)
-	if err != nil {
-		return err
-	}
-	sh.probeGood = panelResult(p).Fingerprint()
-	return nil
-}
-
-// probeOnce runs one probe panel on the shard through the fault
-// harness and reports whether the result matches the shard's
-// known-good fingerprint. Probes consume a flaky fault's slot sequence
-// (an intermittent shard fails probes intermittently, like its
-// traffic), fail on a dead shard, and see fouling exactly as real jobs
-// do — but skip a slow shard's delay, because slowness changes timing,
-// never results, and probes judge correctness.
-func (f *Fleet) probeOnce(sh *fleetShard) bool {
-	fs := sh.fault.Load()
-	if fs != nil {
-		if fs.dead {
-			return false
-		}
-		if fs.flaky != nil && fs.flaky.downNow() {
-			return false
-		}
-	}
-	var fouling *rt.Fouling
-	if fs != nil {
-		fouling = fs.fouling
-	}
-	p, err := sh.core.p.exec.RunFouled(sh.probeSample, f.probeSeed, fouling)
-	if err != nil {
-		return false
-	}
-	return panelResult(p).Fingerprint() == sh.probeGood
-}
-
-// ProbeShards runs one health-probe sweep over every shard that is not
-// removed, quarantined or healthy alike, and advances each breaker on
-// the outcome:
-//
-//   - a healthy shard failing its probe counts toward the failure
-//     threshold; reaching it opens the breaker, quarantining the shard
-//     exactly as Fleet.Quarantine would (backlog rerouted losslessly);
-//   - a quarantined shard whose probe matches its known-good
-//     fingerprint moves to half-open (probe traffic only) and, after
-//     restoreThreshold consecutive matches, is restored — quarantine
-//     lifted, breaker closed, back in the routing view with no manual
-//     un-quarantine call;
-//   - one failed probe on a quarantined shard re-opens the breaker and
-//     resets the restore progress.
-//
-// ProbeShards returns the indices of shards restored by this sweep.
-// StartHealthProbes runs sweeps on a ticker; tests may call
-// ProbeShards directly for deterministic stepping.
-func (f *Fleet) ProbeShards() []int {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	shards := make([]*fleetShard, 0, len(f.shards))
-	for _, sh := range f.shards {
-		if !sh.removed {
-			shards = append(shards, sh)
-		}
-	}
-	f.mu.Unlock()
-
-	var restored []int
-	var trip []int
-	for _, sh := range shards {
-		healthy := f.probeOnce(sh)
-		f.mu.Lock()
-		if f.closed || sh.removed {
-			f.mu.Unlock()
-			continue
-		}
-		switch {
-		case sh.quarantined && healthy:
-			sh.breaker = BreakerHalfOpen
-			sh.probeGoods++
-			if sh.probeGoods >= f.restoreThreshold {
-				sh.quarantined = false
-				sh.breaker = BreakerClosed
-				sh.probeGoods = 0
-				sh.probeFails = 0
-				sh.restores++
-				restored = append(restored, sh.index)
-				f.recordEventLocked(EventRestored, sh.index, fmt.Sprintf("%d consecutive known-good probes, breaker closed", f.restoreThreshold))
-			} else {
-				f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("known-good probe %d/%d, breaker half-open", sh.probeGoods, f.restoreThreshold))
-			}
-		case sh.quarantined: // quarantined, probe failed
-			if sh.breaker == BreakerHalfOpen {
-				f.recordEventLocked(EventProbed, sh.index, "probe failed, breaker re-opened")
-			}
-			sh.breaker = BreakerOpen
-			sh.probeGoods = 0
-		case healthy:
-			sh.probeFails = 0
-		default: // healthy shard, probe failed
-			sh.probeFails++
-			f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("probe failure %d/%d", sh.probeFails, f.failThreshold))
-			if sh.probeFails >= f.failThreshold {
-				trip = append(trip, sh.index)
-			}
-		}
-		f.mu.Unlock()
-	}
-	for _, idx := range trip {
-		// Quarantine re-checks state under the lock; a shard that was
-		// quarantined, removed, or closed in the meantime is a no-op or
-		// benign error.
-		f.Quarantine(idx) //nolint:errcheck // racing removal/close is benign
-	}
-	return restored
-}
-
-// StartHealthProbes runs ProbeShards every interval until the returned
-// stop function is called. Stop blocks until the loop exits and is
-// safe to call more than once. Probing a closed fleet is a no-op, but
-// stop the loop before Close to avoid pointless sweeps.
-func (f *Fleet) StartHealthProbes(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = time.Second
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-quit:
-				return
-			case <-t.C:
-				f.ProbeShards()
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(quit) })
-		<-done
-	}
-}
-
 // handoff is one accepted job bound for a shard queue, enqueued outside
 // the fleet lock by deliver; rerouteFail is one rerouted job no
 // surviving shard can serve.
@@ -1545,6 +938,22 @@ func (f *Fleet) handoffLocked(to *fleetShard, job fleetJob) handoff {
 	f.submitWG.Add(1)
 	to.handoffs.Add(1)
 	return handoff{to: to, job: job}
+}
+
+// takeBacklogLocked empties the shard's backlog for a reroute and
+// returns it: stalled jobs first (they were accepted first), then
+// whatever is still queued (callers hold f.mu).
+func (sh *fleetShard) takeBacklogLocked() []fleetJob {
+	jobs := sh.stalled
+	sh.stalled = nil
+	for {
+		select {
+		case j := <-sh.queue:
+			jobs = append(jobs, j)
+		default:
+			return jobs
+		}
+	}
 }
 
 // rerouteLocked plans new homes for a quarantined shard's backlog
@@ -1701,6 +1110,7 @@ func (s FleetStats) String() string {
 // Stats returns the current aggregate counters.
 func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	st := FleetStats{
 		Submitted:         uint64(f.submitted),
 		Completed:         uint64(f.completed),
@@ -1712,36 +1122,11 @@ func (f *Fleet) Stats() FleetStats {
 	}
 	if !f.first.IsZero() && f.last.After(f.first) {
 		st.WallSeconds = f.last.Sub(f.first).Seconds()
-	}
-	// Capture the shard slice together with the view: AddShard may grow
-	// f.shards concurrently, and the per-shard flags must match the
-	// same snapshot the view describes.
-	shards := f.shards
-	view := f.snapshotLocked()
-	type shardFlags struct {
-		quarantined, removed bool
-		breaker              BreakerState
-		probeFails           int
-		probeGoods           int
-		restores             uint64
-	}
-	flags := make([]shardFlags, len(shards))
-	for i, sh := range shards {
-		flags[i] = shardFlags{
-			quarantined: sh.quarantined,
-			removed:     sh.removed,
-			breaker:     sh.breaker,
-			probeFails:  sh.probeFails,
-			probeGoods:  sh.probeGoods,
-			restores:    sh.restores,
-		}
-	}
-	f.mu.Unlock()
-	if st.WallSeconds > 0 {
 		st.PanelsPerSecond = float64(st.Completed) / st.WallSeconds
 	}
 	var hits, lookups uint64
-	for i, sh := range shards {
+	for i, v := range f.snapshotLocked() {
+		sh := f.shards[i]
 		ls := sh.core.stats(f.workers)
 		hits += ls.CacheHits
 		lookups += ls.CacheHits + ls.CacheMisses
@@ -1749,16 +1134,16 @@ func (f *Fleet) Stats() FleetStats {
 			Index:         sh.index,
 			Targets:       sh.targets,
 			Lab:           ls,
-			QueueLen:      view[i].QueueLen,
+			QueueLen:      v.QueueLen,
 			QueueCap:      f.depth,
-			InFlight:      view[i].InFlight,
+			InFlight:      v.InFlight,
 			Routed:        sh.routed.Load(),
-			Quarantined:   flags[i].quarantined,
-			Breaker:       flags[i].breaker,
-			ProbeFailures: flags[i].probeFails,
-			ProbeGoods:    flags[i].probeGoods,
-			Restores:      flags[i].restores,
-			Removed:       flags[i].removed,
+			Quarantined:   sh.quarantined,
+			Breaker:       sh.breaker,
+			ProbeFailures: sh.probeFails,
+			ProbeGoods:    sh.probeGoods,
+			Restores:      sh.restores,
+			Removed:       sh.removed,
 		})
 	}
 	if lookups > 0 {

@@ -18,6 +18,13 @@ import (
 // experiment executions.
 
 func TestFig2AllocCeiling(t *testing.T) {
+	if raceEnabled {
+		// Race instrumentation defeats escape analysis (RNG.Split and
+		// Engine.acquire heap-allocate only in race builds) and makes
+		// fmt's sync.Pool drop buffers at random, so the count there
+		// reads 385–387 and varies run to run. Plain builds pin it.
+		t.Skip("race builds allocate differently from the compiled binary this ceiling pins")
+	}
 	if _, err := Fig2(); err != nil { // warm caches outside the count
 		t.Fatal(err)
 	}

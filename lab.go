@@ -206,12 +206,14 @@ func (c *execCore) record(start, end time.Time, monitor bool, n, failed uint64) 
 // and writes the outcome for jobs[i] into out[i]. Each job's seedIdx
 // picks its deterministic noise stream and schedIdx its slot on the
 // instrument timeline (they coincide for Lab batches and diverge on
-// Fleet shards). Every panel is bit-identical to the equivalent
-// runIndexed call (the batch kernel reuses allocations, never noise
-// streams); only the bookkeeping differs: the aggregate stats advance
-// once per batch, and WallSeconds reports the batch's wall-clock cost
-// spread evenly across its panels, since the shared scratch makes
-// per-panel attribution meaningless.
+// Fleet shards). fault, when non-nil, is an injected electrode fouling
+// (a Fleet shard with a FaultFouledElectrode armed). Every panel is
+// bit-identical to a standalone run of its sample and seed (the batch
+// kernel reuses allocations, never noise streams). The aggregate stats
+// advance once per batch, and WallSeconds reports the batch's
+// wall-clock cost spread evenly across its panels, since the shared
+// scratch makes per-panel attribution meaningless; a batch of one
+// reports its own panel's cost.
 func (c *execCore) runBatch(jobs []fleetJob, fault *rt.Fouling, out []PanelOutcome) {
 	start := time.Now()
 	concs := make([]map[string]float64, len(jobs))
@@ -241,35 +243,6 @@ func (c *execCore) runBatch(jobs []fleetJob, fault *rt.Fouling, out []PanelOutco
 		out[i] = o
 	}
 	c.record(start, end, false, uint64(len(jobs)), failures)
-}
-
-// runIndexed executes one panel and updates the aggregate stats.
-// seedIdx picks the sample's deterministic noise stream (in a Fleet it
-// is the fleet-wide submission index, which is what makes results
-// independent of sharding); schedIdx is the panel's position on this
-// platform's instrument timeline. fault, when non-nil, is an injected
-// electrode fouling (a Fleet shard with a FaultFouledElectrode armed).
-func (c *execCore) runIndexed(seedIdx, schedIdx int, s Sample, fault *rt.Fouling) PanelOutcome {
-	start := time.Now()
-	res, err := c.p.exec.RunFouled(s.Concentrations, rt.SampleSeed(c.seed, seedIdx), fault)
-	end := time.Now()
-	var failed uint64
-	if err != nil {
-		failed = 1
-	}
-	c.record(start, end, false, 1, failed)
-
-	out := PanelOutcome{
-		Index:                 seedIdx,
-		ID:                    s.ID,
-		Err:                   err,
-		ScheduledStartSeconds: float64(schedIdx) * c.p.inner.Plan.CycleTime(),
-		WallSeconds:           end.Sub(start).Seconds(),
-	}
-	if err == nil {
-		out.Result = panelResult(res)
-	}
-	return out
 }
 
 // LabStats is an aggregate snapshot of a Lab's service counters.

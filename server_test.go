@@ -174,6 +174,43 @@ func TestServerSinglePanel(t *testing.T) {
 	}
 }
 
+// TestStatsCountOutcomesRequestersHold: once a requester holds its
+// outcome — from Fleet.RunPanels, or over HTTP from the Server — the
+// fleet's stats already count it completed. Many back-to-back round
+// trips give a lagging completion count many chances to show.
+func TestStatsCountOutcomesRequestersHold(t *testing.T) {
+	fleet, _, client := newServedFleet(t, 2, nil, advdiag.WithFleetWorkers(2))
+	ctx := context.Background()
+	var panels, monitors uint64
+	check := func(what string) {
+		t.Helper()
+		st := fleet.Stats()
+		if st.Completed != panels || st.MonitorsCompleted != monitors {
+			t.Fatalf("after %s: stats count %d panels and %d monitors completed, requesters hold %d and %d",
+				what, st.Completed, st.MonitorsCompleted, panels, monitors)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		s := advdiag.Sample{ID: "held", Concentrations: map[string]float64{"glucose": 1 + 0.1*float64(i)}}
+		if o := fleet.RunPanels([]advdiag.Sample{s})[0]; o.Err != nil {
+			t.Fatal(o.Err)
+		}
+		panels++
+		check("Fleet.RunPanels")
+		if _, err := client.RunPanel(ctx, s); err != nil {
+			t.Fatal(err)
+		}
+		panels++
+		check("Client.RunPanel")
+		req := advdiag.MonitorRequest{ID: "held", Tick: i, Target: "glucose", ConcentrationMM: 2, DurationSeconds: 6}
+		if _, err := client.RunMonitor(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		monitors++
+		check("Client.RunMonitor")
+	}
+}
+
 // TestServerSaturation429: with one worker and a depth-1 queue, a
 // burst of concurrent submissions must shed load as HTTP 429 (the
 // handler never blocks on a full queue), the client must surface it as
