@@ -10,7 +10,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"advdiag/internal/analog"
@@ -20,40 +19,18 @@ import (
 // Client talks to a Server over HTTP, speaking the wire format. It is
 // the remote twin of a Lab's batch API: RunPanel/RunPanels/StreamPanels
 // return the same PanelOutcome values a local Lab produces — including
-// byte-identical PanelResult fingerprints, because both wire codecs
-// are lossless for float64 and the server preserves submission order.
+// byte-identical PanelResult fingerprints, because the wire codecs are
+// lossless for float64 and the server preserves submission order.
 //
-// Batch and stream panel traffic negotiates its codec: by default the
-// client probes the server once (GET /healthz) and moves to the binary
-// framing when the server advertises it, falling back to JSON against
-// servers that do not — see WireCodec. Either way the decoded
-// outcomes are identical.
+// Batch and stream panel traffic travels in the binary framing
+// (wire.BinaryMediaType) both ways; single panels and monitor requests
+// use JSON.
 //
-// A Client is safe for concurrent use; it holds no per-request state
-// beyond the cached codec probe.
+// A Client is safe for concurrent use; it holds no per-request state.
 type Client struct {
-	base  string
-	hc    *http.Client
-	codec WireCodec
-	// binProbe caches the one-time negotiation probe: 0 unprobed,
-	// 1 server advertises binary, -1 JSON only.
-	binProbe atomic.Int32
+	base string
+	hc   *http.Client
 }
-
-// WireCodec selects the encoding of the client's batch and stream
-// panel traffic.
-type WireCodec int
-
-const (
-	// CodecAuto (the default) probes the server once and uses the
-	// binary codec when the server advertises it, JSON otherwise.
-	CodecAuto WireCodec = iota
-	// CodecJSON forces the JSON/NDJSON shapes.
-	CodecJSON
-	// CodecBinary forces the binary framing without probing (requests
-	// against a JSON-only server will be refused with 400).
-	CodecBinary
-)
 
 // ClientOption customizes a Client.
 type ClientOption func(*Client)
@@ -62,13 +39,6 @@ type ClientOption func(*Client)
 // or an httptest server's client). Default: http.DefaultClient.
 func WithHTTPClient(hc *http.Client) ClientOption {
 	return func(c *Client) { c.hc = hc }
-}
-
-// WithWireCodec pins the panel-traffic codec instead of negotiating —
-// CodecJSON for maximum compatibility, CodecBinary for benchmarking
-// the binary path explicitly.
-func WithWireCodec(codec WireCodec) ClientOption {
-	return func(c *Client) { c.codec = codec }
 }
 
 // NewClient builds a client for the server at baseURL (scheme://host[:port],
@@ -101,59 +71,46 @@ func remoteError(status int, body []byte) error {
 	}
 }
 
+// post sends a POST with the given body codec. A binary request also
+// asks for binary outcomes.
 func (c *Client) post(ctx context.Context, path, contentType string, body io.Reader) (*http.Response, error) {
-	return c.postAccept(ctx, path, contentType, "", body)
-}
-
-// postAccept is post with an explicit Accept header for the endpoints
-// that negotiate their response codec.
-func (c *Client) postAccept(ctx context.Context, path, contentType, accept string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, body)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
+	if contentType == wire.BinaryMediaType {
+		req.Header.Set("Accept", wire.BinaryMediaType)
 	}
 	return c.hc.Do(req)
 }
 
-// useBinary decides the codec for one batch/stream call. In CodecAuto
-// mode the first call probes GET /healthz and caches whether the
-// server advertises the binary framing; a probe that fails outright
-// (server unreachable) conservatively reports JSON without caching, so
-// the next call probes again.
-func (c *Client) useBinary(ctx context.Context) bool {
-	switch c.codec {
-	case CodecJSON:
-		return false
-	case CodecBinary:
-		return true
+// requireBinary refuses a 200 answer that is not in the binary
+// framing the client asked for; it is never decoded as another codec.
+func requireBinary(resp *http.Response) error {
+	if ct := resp.Header.Get("Content-Type"); !isBinaryMedia(ct) {
+		return fmt.Errorf("advdiag: server answered %q, want %s", ct, wire.BinaryMediaType)
 	}
-	if v := c.binProbe.Load(); v != 0 {
-		return v > 0
-	}
-	resp, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body) //nolint:errcheck // probe body is decorative
-	resp.Body.Close()
-	v := int32(-1)
-	if resp.Header.Get("X-Advdiag-Binary") == "1" {
-		v = 1
-	}
-	c.binProbe.Store(v)
-	return v > 0
+	return nil
 }
 
-// responseIsBinary reports whether the server answered in the binary
-// framing (response-side negotiation is by Content-Type, so a client
-// that asked for binary still decodes a JSON answer correctly).
-func responseIsBinary(resp *http.Response) bool {
-	ct := resp.Header.Get("Content-Type")
-	return ct == wire.BinaryMediaType || strings.HasPrefix(ct, wire.BinaryMediaType+";")
+// readOutcomeFrames decodes binary outcome frames from r until a clean
+// end of stream, handing each to fn.
+func readOutcomeFrames(r io.Reader, fn func(wire.Outcome)) error {
+	for {
+		frame, err := wire.ReadBinaryFrame(r, maxOutcomeBytes)
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		wo, err := wire.UnmarshalOutcomeBinary(frame)
+		if err != nil {
+			return err
+		}
+		fn(wo)
+	}
 }
 
 func (c *Client) get(ctx context.Context, path string) (*http.Response, error) {
@@ -313,40 +270,17 @@ func (c *Client) RunPanel(ctx context.Context, s Sample) (PanelOutcome, error) {
 // request order — the remote counterpart of Lab.RunPanels. Per-sample
 // failures (including samples shed by backpressure mid-batch) land in
 // the outcome's Err; a batch rejected wholesale maps to the sentinel
-// errors like RunPanel. The codec follows the client's WireCodec
-// setting (binary frames when negotiated, JSON otherwise); the decoded
-// outcomes are identical either way.
+// errors like RunPanel.
 func (c *Client) RunPanels(ctx context.Context, samples []Sample) ([]PanelOutcome, error) {
-	contentType, accept := "application/json", ""
 	var data []byte
-	if c.useBinary(ctx) {
-		contentType, accept = wire.BinaryMediaType, wire.BinaryMediaType
-		for i, s := range samples {
-			frame, err := wire.MarshalSampleBinary(toWireSample(s))
-			if err != nil {
-				return nil, fmt.Errorf("advdiag: batch sample %d: %w", i, err)
-			}
-			data = append(data, frame...)
+	for i, s := range samples {
+		frame, err := wire.MarshalSampleBinary(toWireSample(s))
+		if err != nil {
+			return nil, fmt.Errorf("advdiag: batch sample %d: %w", i, err)
 		}
-	} else {
-		elems := make([]json.RawMessage, len(samples))
-		for i, s := range samples {
-			// Per-element MarshalSample keeps client-side validation
-			// consistent with RunPanel/StreamPanels: a bad sample errors
-			// here with the wire message instead of travelling to the
-			// server (or failing opaquely inside json.Marshal on NaN).
-			e, err := wire.MarshalSample(toWireSample(s))
-			if err != nil {
-				return nil, fmt.Errorf("advdiag: batch sample %d: %w", i, err)
-			}
-			elems[i] = e
-		}
-		var err error
-		if data, err = json.Marshal(elems); err != nil {
-			return nil, err
-		}
+		data = append(data, frame...)
 	}
-	resp, err := c.postAccept(ctx, "/v1/panels/batch", contentType, accept, bytes.NewReader(data))
+	resp, err := c.post(ctx, "/v1/panels/batch", wire.BinaryMediaType, bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
@@ -358,69 +292,35 @@ func (c *Client) RunPanels(ctx context.Context, samples []Sample) ([]PanelOutcom
 	if resp.StatusCode != http.StatusOK {
 		return nil, remoteError(resp.StatusCode, body)
 	}
-	var wos []wire.Outcome
-	if responseIsBinary(resp) {
-		br := bytes.NewReader(body)
-		for {
-			frame, err := wire.ReadBinaryFrame(br, maxOutcomeBytes)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("advdiag: batch response: %w", err)
-			}
-			wo, err := wire.UnmarshalOutcomeBinary(frame)
-			if err != nil {
-				return nil, err
-			}
-			wos = append(wos, wo)
-		}
-	} else {
-		if err := json.Unmarshal(body, &wos); err != nil {
-			return nil, fmt.Errorf("advdiag: batch response: %w", err)
-		}
-		for i := range wos {
-			if err := wos[i].Validate(); err != nil {
-				return nil, err
-			}
-		}
+	if err := requireBinary(resp); err != nil {
+		return nil, err
 	}
-	if len(wos) != len(samples) {
-		return nil, fmt.Errorf("advdiag: batch response has %d outcomes for %d samples", len(wos), len(samples))
+	out := make([]PanelOutcome, 0, len(samples))
+	err = readOutcomeFrames(bytes.NewReader(body), func(wo wire.Outcome) {
+		out = append(out, outcomeFromWire(wo))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("advdiag: batch response: %w", err)
 	}
-	out := make([]PanelOutcome, len(wos))
-	for i, wo := range wos {
-		out[i] = outcomeFromWire(wo)
+	if len(out) != len(samples) {
+		return nil, fmt.Errorf("advdiag: batch response has %d outcomes for %d samples", len(out), len(samples))
 	}
 	return out, nil
 }
 
-// StreamPanels submits samples over the NDJSON streaming endpoint and
-// invokes fn for each outcome as the server reports it, in completion
-// order. seq is the outcome's position in the submitted slice. fn runs
-// on the caller's goroutine; StreamPanels returns after the server
-// closes the stream (every sample answered) or the context ends.
+// StreamPanels submits samples over the streaming endpoint and invokes
+// fn for each outcome as the server reports it, in completion order.
+// seq is the outcome's position in the submitted slice. fn runs on the
+// caller's goroutine; StreamPanels returns after the server closes the
+// stream (every sample answered) or the context ends.
 func (c *Client) StreamPanels(ctx context.Context, samples []Sample, fn func(seq int, o PanelOutcome)) error {
-	binReq := c.useBinary(ctx)
-	contentType, accept := "application/x-ndjson", ""
-	if binReq {
-		contentType, accept = wire.BinaryMediaType, wire.BinaryMediaType
-	}
-	lines := make([][]byte, len(samples))
+	frames := make([][]byte, len(samples))
 	for i, s := range samples {
-		var data []byte
-		var err error
-		if binReq {
-			data, err = wire.MarshalSampleBinary(toWireSample(s))
-		} else {
-			if data, err = wire.MarshalSample(toWireSample(s)); err == nil {
-				data = append(data, '\n')
-			}
-		}
+		frame, err := wire.MarshalSampleBinary(toWireSample(s))
 		if err != nil {
 			return err
 		}
-		lines[i] = data
+		frames[i] = frame
 	}
 	// Stream the body through a pipe instead of buffering it: the
 	// server answers in completion order while the request is still
@@ -434,8 +334,8 @@ func (c *Client) StreamPanels(ctx context.Context, samples []Sample, fn func(seq
 	pr, pw := io.Pipe()
 	go func() {
 		bw := bufio.NewWriterSize(pw, 32*1024)
-		for _, line := range lines {
-			if _, err := bw.Write(line); err != nil {
+		for _, frame := range frames {
+			if _, err := bw.Write(frame); err != nil {
 				pw.CloseWithError(err)
 				return
 			}
@@ -446,7 +346,7 @@ func (c *Client) StreamPanels(ctx context.Context, samples []Sample, fn func(seq
 		}
 		pw.Close()
 	}()
-	resp, err := c.postAccept(ctx, "/v1/panels/stream", contentType, accept, pr)
+	resp, err := c.post(ctx, "/v1/panels/stream", wire.BinaryMediaType, pr)
 	if err != nil {
 		pr.Close() //nolint:errcheck // unblocks the writer goroutine
 		return err
@@ -456,45 +356,16 @@ func (c *Client) StreamPanels(ctx context.Context, samples []Sample, fn func(seq
 		body, _ := io.ReadAll(resp.Body)
 		return remoteError(resp.StatusCode, body)
 	}
+	if err := requireBinary(resp); err != nil {
+		return err
+	}
 	n := 0
-	if responseIsBinary(resp) {
-		br := bufio.NewReaderSize(resp.Body, 64*1024)
-		for {
-			frame, err := wire.ReadBinaryFrame(br, maxOutcomeBytes)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			wo, err := wire.UnmarshalOutcomeBinary(frame)
-			if err != nil {
-				return err
-			}
-			fn(wo.Seq, outcomeFromWire(wo))
-			n++
-		}
-	} else {
-		sc := bufio.NewScanner(resp.Body)
-		// An outcome line is strictly larger than the sample it answers
-		// (it echoes the ID and adds the result), so the response buffer
-		// must be sized above the request-line bound.
-		sc.Buffer(make([]byte, 64*1024), maxOutcomeBytes)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			wo, err := wire.UnmarshalOutcome(line)
-			if err != nil {
-				return err
-			}
-			fn(wo.Seq, outcomeFromWire(wo))
-			n++
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
+	err = readOutcomeFrames(bufio.NewReaderSize(resp.Body, 64*1024), func(wo wire.Outcome) {
+		fn(wo.Seq, outcomeFromWire(wo))
+		n++
+	})
+	if err != nil {
+		return err
 	}
 	if n != len(samples) {
 		return fmt.Errorf("advdiag: stream answered %d of %d samples", n, len(samples))

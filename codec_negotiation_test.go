@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,127 +16,179 @@ import (
 )
 
 // TestCodecMatrixDeterminism drives the same cohort through every
-// client codec setting on both the batch and stream endpoints: JSON,
-// forced binary, and auto-negotiation must all reproduce the local
-// Lab's fingerprints bit-for-bit.
+// codec and endpoint the server speaks — the Go client's binary batch
+// and binary stream, and raw JSON-array batch and NDJSON stream
+// requests as curl would send them — each on a fresh server, so the
+// fleet's submission indices start at 0 and every outcome's
+// fingerprint must equal the local Lab's bit-for-bit.
 func TestCodecMatrixDeterminism(t *testing.T) {
 	samples := mixedCohort(10)
 	local := localFingerprints(t, samples)
 
-	for _, codec := range []struct {
+	type leg struct {
+		endpoint string
+		run      func(t *testing.T, c *advdiag.Client) map[int]uint64
+	}
+	codecs := []struct {
 		name string
-		c    advdiag.WireCodec
-	}{{"json", advdiag.CodecJSON}, {"binary", advdiag.CodecBinary}, {"auto", advdiag.CodecAuto}} {
-		t.Run(codec.name, func(t *testing.T) {
-			_, client := newTestServer(t, 2, advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(32))
-			client = advdiag.NewClient(client.BaseURL(), advdiag.WithWireCodec(codec.c))
-
-			outs, err := client.RunPanels(context.Background(), samples)
+		legs []leg
+	}{
+		{"binary", []leg{{"batch", func(t *testing.T, c *advdiag.Client) map[int]uint64 {
+			outs, err := c.RunPanels(context.Background(), samples)
 			if err != nil {
 				t.Fatal(err)
 			}
+			fps := map[int]uint64{}
 			for i, o := range outs {
 				if o.Err != nil {
-					t.Fatalf("batch sample %d: %v", i, o.Err)
+					t.Fatalf("sample %d: %v", i, o.Err)
 				}
-				if fp := o.Result.Fingerprint(); fp != local[i] {
-					t.Fatalf("batch sample %d: fingerprint %x != local %x", i, fp, local[i])
-				}
+				fps[i] = o.Result.Fingerprint()
 			}
-
-			seen := 0
-			err = client.StreamPanels(context.Background(), samples, func(seq int, o advdiag.PanelOutcome) {
+			return fps
+		}}, {"stream", func(t *testing.T, c *advdiag.Client) map[int]uint64 {
+			fps := map[int]uint64{}
+			err := c.StreamPanels(context.Background(), samples, func(seq int, o advdiag.PanelOutcome) {
 				if o.Err != nil {
-					t.Errorf("stream sample %d: %v", seq, o.Err)
+					t.Errorf("sample %d: %v", seq, o.Err)
 					return
 				}
-				// Stream samples land after the batch, so the noise seed
-				// differs; determinism is pinned by the matrix all
-				// answering (fingerprint equality across codecs is
-				// covered by the batch path above and the server
-				// determinism tests).
-				seen++
+				fps[seq] = o.Result.Fingerprint()
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seen != len(samples) {
-				t.Fatalf("stream answered %d of %d", seen, len(samples))
+			return fps
+		}}}},
+		{"json", []leg{{"batch", func(t *testing.T, c *advdiag.Client) map[int]uint64 {
+			elems := make([]json.RawMessage, len(samples))
+			for i, s := range samples {
+				elems[i] = marshalWireSample(t, s)
+			}
+			body, err := json.Marshal(elems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := postRaw(t, c.BaseURL()+"/v1/panels/batch", "application/json", body)
+			var outs []json.RawMessage
+			if err := json.Unmarshal(data, &outs); err != nil {
+				t.Fatalf("batch response: %v", err)
+			}
+			return jsonFingerprints(t, outs)
+		}}, {"stream", func(t *testing.T, c *advdiag.Client) map[int]uint64 {
+			var body []byte
+			for _, s := range samples {
+				body = append(append(body, marshalWireSample(t, s)...), '\n')
+			}
+			data := postRaw(t, c.BaseURL()+"/v1/panels/stream", "application/x-ndjson", body)
+			var lines []json.RawMessage
+			for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+				lines = append(lines, line)
+			}
+			return jsonFingerprints(t, lines)
+		}}}},
+	}
+	for _, codec := range codecs {
+		t.Run(codec.name, func(t *testing.T) {
+			for _, leg := range codec.legs {
+				t.Run(leg.endpoint, func(t *testing.T) {
+					_, client := newTestServer(t, 2, advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(32))
+					fps := leg.run(t, client)
+					if len(fps) != len(samples) {
+						t.Fatalf("answered %d of %d samples", len(fps), len(samples))
+					}
+					for i, want := range local {
+						if fp, ok := fps[i]; !ok || fp != want {
+							t.Fatalf("sample %d: fingerprint %x (answered %v) != local %x", i, fp, ok, want)
+						}
+					}
+				})
 			}
 		})
 	}
 }
 
-// legacyJSONOnly wraps a modern server handler to impersonate a server
-// from before the binary codec existed: it never advertises binary,
-// and it answers a binary request body the way a JSON parser would —
-// 400.
-func legacyJSONOnly(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, wire.BinaryMediaType) {
-			http.Error(w, "wire: batch: invalid character", http.StatusBadRequest)
-			return
-		}
-		r.Header.Del("Accept") // a legacy server ignores the media type anyway
-		h.ServeHTTP(&headerStripper{ResponseWriter: w}, r)
-	})
-}
-
-// headerStripper removes the binary advertisement before headers hit
-// the wire.
-type headerStripper struct{ http.ResponseWriter }
-
-func (s *headerStripper) WriteHeader(code int) {
-	s.Header().Del("X-Advdiag-Binary")
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func (s *headerStripper) Write(b []byte) (int, error) {
-	s.Header().Del("X-Advdiag-Binary")
-	return s.ResponseWriter.Write(b)
-}
-
-func (s *headerStripper) Flush() {
-	if f, ok := s.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// TestBinaryFallbackJSONOnlyServer: an auto-negotiating client against
-// a server that never heard of the binary codec must silently use JSON
-// and still reproduce local fingerprints; a client with binary forced
-// must surface the server's rejection instead of corrupting anything.
-func TestBinaryFallbackJSONOnlyServer(t *testing.T) {
-	samples := mixedCohort(6)
-	srv, _ := newTestServer(t, 1, advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(16))
-	legacy := httptest.NewServer(legacyJSONOnly(srv))
-	defer legacy.Close()
-
-	auto := advdiag.NewClient(legacy.URL, advdiag.WithHTTPClient(legacy.Client()))
-	outs, err := auto.RunPanels(context.Background(), samples)
+func marshalWireSample(t *testing.T, s advdiag.Sample) []byte {
+	t.Helper()
+	data, err := wire.MarshalSample(wire.Sample{ID: s.ID, Concentrations: s.Concentrations})
 	if err != nil {
-		t.Fatalf("auto client against JSON-only server: %v", err)
+		t.Fatal(err)
 	}
-	local := localFingerprints(t, samples)
-	for i, o := range outs {
-		if o.Err != nil {
-			t.Fatalf("sample %d: %v", i, o.Err)
-		}
-		if fp := o.Result.Fingerprint(); fp != local[i] {
-			t.Fatalf("sample %d: fingerprint %x != local %x", i, fp, local[i])
-		}
-	}
-	got := 0
-	if err := auto.StreamPanels(context.Background(), samples, func(int, advdiag.PanelOutcome) { got++ }); err != nil {
-		t.Fatalf("auto stream against JSON-only server: %v", err)
-	}
-	if got != len(samples) {
-		t.Fatalf("stream answered %d of %d", got, len(samples))
-	}
+	return data
+}
 
-	forced := advdiag.NewClient(legacy.URL, advdiag.WithHTTPClient(legacy.Client()), advdiag.WithWireCodec(advdiag.CodecBinary))
-	if _, err := forced.RunPanels(context.Background(), samples); err == nil {
-		t.Fatal("forced-binary client must fail against a JSON-only server")
+// postRaw POSTs body with the given JSON content type and returns the
+// 200 response body.
+func postRaw(t *testing.T, url, contentType string, body []byte) []byte {
+	t.Helper()
+	resp, err := http.Post(url, contentType, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if ct := resp.Header.Get("Content-Type"); strings.Contains(ct, wire.BinaryMediaType) {
+		t.Fatalf("JSON request answered in %s", ct)
+	}
+	return data
+}
+
+// jsonFingerprints strictly decodes JSON outcomes and returns each
+// result's fingerprint keyed by the outcome's request position.
+func jsonFingerprints(t *testing.T, outs []json.RawMessage) map[int]uint64 {
+	t.Helper()
+	fps := map[int]uint64{}
+	for _, raw := range outs {
+		wo, err := wire.UnmarshalOutcome(raw)
+		if err != nil {
+			t.Fatalf("outcome %s: %v", raw, err)
+		}
+		if wo.Error != "" || wo.Result == nil {
+			t.Fatalf("sample %d: %q", wo.Seq, wo.Error)
+		}
+		pr := advdiag.PanelResult{PanelSeconds: wo.Result.PanelSeconds}
+		for _, r := range wo.Result.Readings {
+			pr.Readings = append(pr.Readings, advdiag.TargetReading(r))
+		}
+		fps[wo.Seq] = pr.Fingerprint()
+	}
+	return fps
+}
+
+// TestClientRefusesNonBinaryAnswer: the client sends and asks for the
+// binary framing on its batch and stream calls, and a 200 answer in
+// any other codec is an error — it is never decoded as JSON.
+func TestClientRefusesNonBinaryAnswer(t *testing.T) {
+	samples := mixedCohort(2)
+	// A well-formed JSON batch answer, so only the codec check can refuse it.
+	answer, err := json.Marshal([]wire.Outcome{{Schema: wire.SchemaVersion, Error: "shed"}, {Schema: wire.SchemaVersion, Seq: 1, Error: "shed"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ct, accept := r.Header.Get("Content-Type"), r.Header.Get("Accept"); ct != wire.BinaryMediaType || accept != wire.BinaryMediaType {
+			t.Errorf("%s sent Content-Type %q, Accept %q; want %s for both", r.URL.Path, ct, accept, wire.BinaryMediaType)
+		}
+		io.Copy(io.Discard, r.Body) //nolint:errcheck // the request is only inspected
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(answer) //nolint:errcheck // the client's verdict is what is tested
+	}))
+	defer ts.Close()
+	c := advdiag.NewClient(ts.URL, advdiag.WithHTTPClient(ts.Client()))
+
+	if outs, err := c.RunPanels(context.Background(), samples); err == nil || !strings.Contains(err.Error(), wire.BinaryMediaType) {
+		t.Fatalf("batch: want a codec error, got %v (%d outcomes)", err, len(outs))
+	}
+	called := false
+	err = c.StreamPanels(context.Background(), samples, func(int, advdiag.PanelOutcome) { called = true })
+	if err == nil || !strings.Contains(err.Error(), wire.BinaryMediaType) || called {
+		t.Fatalf("stream: want a codec error before any outcome, got %v (callback ran: %v)", err, called)
 	}
 }
 

@@ -153,19 +153,16 @@
 // media type application/x-advdiag-binary): each frame is a u32
 // little-endian payload length, the u16 schema version, a one-byte
 // message kind, and the fields in fixed order with float64 bits
-// verbatim — lossless by construction and roughly 4x faster to move
-// than JSON NDJSON with the kernel out of the loop (cmd/labload
+// verbatim — lossless by construction and about 10x cheaper to encode
+// and decode than JSON (TestBinaryCodecCheaperThanJSON in advdiag/wire
 // measures it). The encoding is canonical (concentration keys sorted,
 // one valid byte string per message) and decoding is as strict as
 // JSON's: version skew, unknown kinds, truncation, length lies and
-// non-canonical key order all error. Negotiation is symmetric and
-// per-direction: the server advertises support with an
-// X-Advdiag-Binary response header (on /healthz and the panel
-// endpoints), the request body's codec is declared by Content-Type,
-// and the response codec is requested by Accept. The Client's default
-// CodecAuto probes /healthz once and upgrades when the server
-// advertises; against an older JSON-only server it stays on JSON
-// silently (WithWireCodec forces either codec).
+// non-canonical key order all error. The request body's codec is
+// declared by Content-Type and the response codec is requested by
+// Accept. The Client always sends and accepts binary on its batch and
+// stream calls, and refuses a 200 answer in any other codec; the
+// JSON shapes serve curl and other non-Go clients.
 //
 // # Fault injection and automated diagnosis
 //
@@ -382,11 +379,9 @@
 // <reason>" directive — the reason is mandatory and checked. See the
 // README's "Static analysis: labvet" section for the rule table.
 //
-// BENCH_PR9.json at the repository root records the tracked performance
-// baseline: single-worker and fleet panels/sec, fleet allocs/panel, the
-// Fig. 1–4 benchmark costs (cmd/labbench -json regenerates that half,
-// -baseline auto diffs against it), and a "labload" section with
-// per-codec request-latency percentiles and wire-isolated codec
-// throughput (cmd/labload -json regenerates that half, -baseline diffs
-// p99 and wire panels/sec).
+// servebench (its own module, with BENCHMARK.json at the repository
+// root) is the one benchmark of the serving stack: three workloads
+// with end-to-end CPU and wall-clock metrics, a traced per-layer
+// table, and a correctness check on every run. See the README's
+// Performance section.
 package advdiag

@@ -1,6 +1,6 @@
 // Benchmarks for the run-time panel hot path: one designed Fig. 4
-// platform, repeated panel executions: the hot path behind the
-// panels/sec figure BENCH_PR9.json tracks (see README §Performance).
+// platform, repeated panel executions: the hot path behind
+// servebench's fig4-batch throughput (see README §Performance).
 package advdiag_test
 
 import (

@@ -214,8 +214,8 @@ func (pr PanelResult) String() string {
 // Fingerprint hashes the result exactly: every label and the raw
 // float64 bit pattern of every numeric field feed an FNV-1a stream.
 // Equal fingerprints mean byte-identical results — the determinism
-// tests and cmd/labbench use this to prove panel results do not depend
-// on the Lab worker count or the Fleet shard count.
+// tests use this to prove panel results do not depend on the Lab
+// worker count or the Fleet shard count.
 func (pr PanelResult) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -304,7 +304,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // maxSampleBytes bounds a single wire.Sample (or one NDJSON request
 // line); maxBatchBytes bounds a whole batch request body.
-// maxOutcomeBytes bounds one NDJSON response line: an outcome echoes
+// maxOutcomeBytes bounds one outcome the client reads: an outcome echoes
 // the sample's ID and adds a result whose size is set by the panel,
 // so twice the sample bound leaves ample headroom.
 const (
@@ -313,21 +313,14 @@ const (
 	maxOutcomeBytes = 2 * maxSampleBytes
 )
 
-// binaryAdvertisement is the response header that tells clients this
-// server speaks the binary panel codec; clients probe it on /healthz
-// and switch their batch/stream traffic to wire.BinaryMediaType. A
-// JSON-only server never sets it, which is the whole fallback protocol.
-const binaryAdvertisement = "X-Advdiag-Binary"
-
-// advertiseBinary stamps the codec advertisement on a response.
-func advertiseBinary(w http.ResponseWriter) { w.Header().Set(binaryAdvertisement, "1") }
+// isBinaryMedia reports whether a Content-Type names the binary codec.
+func isBinaryMedia(ct string) bool {
+	return ct == wire.BinaryMediaType || strings.HasPrefix(ct, wire.BinaryMediaType+";")
+}
 
 // wantsBinaryBody reports whether the request body is binary-framed
 // (Content-Type negotiation on the intake side).
-func wantsBinaryBody(r *http.Request) bool {
-	ct := r.Header.Get("Content-Type")
-	return ct == wire.BinaryMediaType || strings.HasPrefix(ct, wire.BinaryMediaType+";")
-}
+func wantsBinaryBody(r *http.Request) bool { return isBinaryMedia(r.Header.Get("Content-Type")) }
 
 // wantsBinaryResponse reports whether the client asked for binary
 // outcomes (Accept negotiation on the egress side).
@@ -406,7 +399,6 @@ func (s *Server) handlePanel(w http.ResponseWriter, r *http.Request) {
 // frames; the two directions negotiate independently, with the JSON
 // shapes as the default on both.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	advertiseBinary(w)
 	body, err := s.readAll(w, r, maxBatchBytes)
 	if err != nil {
 		return
@@ -520,7 +512,6 @@ func writeBinaryOutcome(w io.Writer, out wire.Outcome) {
 // binary outcome frames, and the two directions are independent.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	binOut := wantsBinaryResponse(r)
-	advertiseBinary(w)
 	if binOut {
 		w.Header().Set("Content-Type", wire.BinaryMediaType)
 	} else {
@@ -779,11 +770,8 @@ func (s *Server) handleDiagnosis(w http.ResponseWriter, _ *http.Request) {
 
 // handleHealth serves GET /healthz: 200 while accepting work, 503 once
 // draining — load balancers stop routing before the listener goes
-// away. The response also carries the binary-codec advertisement,
-// which is how a Client's one-time probe decides between the binary
-// and JSON panel transports.
+// away.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	advertiseBinary(w)
 	if s.isDraining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return

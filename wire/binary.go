@@ -31,7 +31,7 @@ import (
 // bytes after a complete body are all errors, never a guess.
 const (
 	// BinaryMediaType is the HTTP content type of the binary codec;
-	// servers advertise it and clients request it by this name.
+	// clients send and request it by this name.
 	BinaryMediaType = "application/x-advdiag-binary"
 
 	binKindSample  = 1
