@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"advdiag/internal/phys"
 	"advdiag/internal/signalproc"
 	"advdiag/internal/trace"
@@ -9,59 +11,59 @@ import (
 // PeakScratch reuses the buffers of a reduction-peak scan across runs.
 // One voltammogram is scanned once (Scan) and then queried per assay
 // (Near), so multi-target electrodes pay the detector once instead of
-// once per target. All results alias scratch memory — valid until the
-// next Scan. A scratch belongs to one goroutine.
+// once per target. A warm scratch scans without allocating. All results
+// alias scratch memory — valid until the next Scan. A scratch belongs
+// to one goroutine.
 type PeakScratch struct {
-	pot, cur, inv, base, smooth []float64
-	peaks                       []signalproc.Peak
-	quants                      []PeakQuant
+	base, smooth []float64
+	finder       signalproc.PeakFinder
+	// peaks are the scanned peaks and quants those at least minHeight
+	// high, in index order until sorted is set, then in
+	// FindReductionPeaks' prominence order.
+	peaks     []signalproc.Peak
+	quants    []PeakQuant
+	minHeight phys.Current
+	sorted    bool
 }
 
 // Scan runs FindReductionPeaks over the voltammogram into scratch
-// buffers: identical branch extraction, detrending, smoothing and peak
-// detection, with every allocation reused. It reports false where
-// FindReductionPeaks would return an error (short or malformed
-// voltammograms) — the callers that use a scratch treat peak detection
-// as best-effort, exactly like the discarded PeakNear errors did.
+// buffers. It reports false where FindReductionPeaks would return an
+// error (short or malformed voltammograms) — the callers that use a
+// scratch treat peak detection as best-effort.
 func (s *PeakScratch) Scan(vg *trace.XY, minHeight phys.Current) bool {
-	if vg.Validate() != nil || vg.Len() < 8 {
-		return false
+	return s.scan(vg, minHeight) == nil
+}
+
+// scan detects the voltammogram's reduction peaks into the scratch,
+// leaving them in index order.
+func (s *PeakScratch) scan(vg *trace.XY, minHeight phys.Current) error {
+	n, err := forwardBranchLen(vg)
+	if err != nil {
+		return err
 	}
-	// Forward (cathodic) branch, as ForwardBranch extracts it. The
-	// branch can be at most the full trace, so sizing the buffers up
-	// front turns the cold first scan's append regrowth into one
-	// allocation each.
-	if cap(s.pot) < vg.Len() {
-		s.pot = make([]float64, 0, vg.Len())
+	pot, cur := vg.X[:n], vg.Y[:n]
+	// Invert the branch so reduction peaks point up and subtract the
+	// chord through its end points (the linear double-layer charging
+	// background) in one pass: signalproc.Detrend of the negated
+	// current, term for term.
+	y0 := -cur[0]
+	slope := (-cur[n-1] - y0) / float64(n-1)
+	s.base = slices.Grow(s.base[:0], n)[:n]
+	for i, y := range cur {
+		s.base[i] = -y - (y0 + slope*float64(i))
 	}
-	if cap(s.cur) < vg.Len() {
-		s.cur = make([]float64, 0, vg.Len())
-	}
-	s.pot = append(s.pot[:0], vg.X[0])
-	s.cur = append(s.cur[:0], vg.Y[0])
-	for i := 1; i < vg.Len(); i++ {
-		if vg.X[i] >= vg.X[i-1] {
-			break
-		}
-		s.pot = append(s.pot, vg.X[i])
-		s.cur = append(s.cur, vg.Y[i])
-	}
-	if len(s.pot) < 8 {
-		return false
-	}
-	if cap(s.inv) < len(s.cur) {
-		s.inv = make([]float64, len(s.cur))
-	}
-	s.inv = s.inv[:len(s.cur)]
-	for i, y := range s.cur {
-		s.inv[i] = -y
-	}
-	s.base = signalproc.DetrendInto(s.base, s.inv)
 	s.smooth = signalproc.MovingAverageInto(s.smooth, s.base, 5)
-	s.peaks = signalproc.FindPeaksInto(s.peaks, s.pot, s.smooth, float64(minHeight))
+	s.peaks = s.finder.Find(pot, s.smooth, float64(minHeight))
+	s.minHeight, s.sorted = minHeight, false
+	s.quantify()
+	return nil
+}
+
+// quantify lists the peaks at least minHeight high, in peak order.
+func (s *PeakScratch) quantify() {
 	s.quants = s.quants[:0]
 	for _, p := range s.peaks {
-		if p.Y < float64(minHeight) {
+		if p.Y < float64(s.minHeight) {
 			continue
 		}
 		s.quants = append(s.quants, PeakQuant{
@@ -70,21 +72,31 @@ func (s *PeakScratch) Scan(vg *trace.XY, minHeight phys.Current) bool {
 			Prominence: p.Prominence,
 		})
 	}
-	return true
+}
+
+// sort puts the scanned peaks in FindReductionPeaks' order.
+func (s *PeakScratch) sort() {
+	if !s.sorted {
+		signalproc.SortByProminence(s.peaks)
+		s.quantify()
+		s.sorted = true
+	}
 }
 
 // Near returns the scanned peak closest to the expected potential
-// within the window, replicating PeakNear's selection (the last peak at
-// the minimal distance wins, exactly as PeakNear's <= comparison does).
+// within the window; of several at the minimal distance, the one last
+// in FindReductionPeaks' order wins.
 func (s *PeakScratch) Near(expected, window phys.Voltage) (PeakQuant, bool) {
+	if !s.sorted {
+		if pk, ok, sure := s.nearUnsorted(expected, window); sure {
+			return pk, ok
+		}
+		s.sort()
+	}
 	best := -1
 	bestDist := float64(window)
 	for i, p := range s.quants {
-		d := float64(p.Potential - expected)
-		if d < 0 {
-			d = -d
-		}
-		if d <= bestDist {
+		if d := distance(p, expected); d <= bestDist {
 			bestDist = d
 			best = i
 		}
@@ -93,4 +105,44 @@ func (s *PeakScratch) Near(expected, window phys.Voltage) (PeakQuant, bool) {
 		return PeakQuant{}, false
 	}
 	return s.quants[best], true
+}
+
+// nearUnsorted is Near on the scan's index order. FindReductionPeaks'
+// order is descending prominence, so of the closest peaks the least
+// prominent one is last in it. sure is false where the sort decides
+// instead: two of the closest peaks also tie in prominence, or a NaN
+// prominence leaves the sorted order other than descending.
+func (s *PeakScratch) nearUnsorted(expected, window phys.Voltage) (pk PeakQuant, ok, sure bool) {
+	for _, p := range s.peaks {
+		if p.Prominence != p.Prominence {
+			return PeakQuant{}, false, false
+		}
+	}
+	best, ties := -1, 0
+	bestDist := float64(window)
+	for i, p := range s.quants {
+		d := distance(p, expected)
+		if !(d <= bestDist) {
+			continue
+		}
+		switch {
+		case best < 0 || d < bestDist || p.Prominence < s.quants[best].Prominence:
+			best, bestDist, ties = i, d, 1
+		case p.Prominence == s.quants[best].Prominence:
+			ties++
+		}
+	}
+	if best < 0 {
+		return PeakQuant{}, false, true
+	}
+	return s.quants[best], true, ties == 1
+}
+
+// distance is the peak's distance from the expected potential, in volts.
+func distance(p PeakQuant, expected phys.Voltage) float64 {
+	d := float64(p.Potential - expected)
+	if d < 0 {
+		d = -d
+	}
+	return d
 }

@@ -1,10 +1,11 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"advdiag/internal/phys"
-	"advdiag/internal/signalproc"
 	"advdiag/internal/trace"
 )
 
@@ -21,32 +22,41 @@ type PeakQuant struct {
 	Prominence float64
 }
 
+// errNoCathodicBranch reports a voltammogram whose potential does not
+// fall over its first samples.
+var errNoCathodicBranch = errors.New("analysis: voltammogram does not start with a cathodic branch")
+
 // ForwardBranch extracts the cathodic (first, decreasing-potential)
 // branch of a voltammogram cycle as parallel slices.
 func ForwardBranch(vg *trace.XY) (pot, cur []float64, err error) {
-	if err := vg.Validate(); err != nil {
+	n, err := forwardBranchLen(vg)
+	if err != nil {
 		return nil, nil, err
 	}
+	return slices.Clone(vg.X[:n]), slices.Clone(vg.Y[:n]), nil
+}
+
+// forwardBranchLen returns how many leading samples of vg form its
+// cathodic branch.
+func forwardBranchLen(vg *trace.XY) (int, error) {
+	if err := vg.Validate(); err != nil {
+		return 0, err
+	}
 	if vg.Len() < 8 {
-		return nil, nil, ErrInsufficientData
+		return 0, ErrInsufficientData
 	}
 	// The branch runs while X strictly decreases; a repeated or rising
 	// potential marks the vertex turnaround (the repeated sample already
 	// belongs to the anodic branch, where the charging current has
 	// flipped sign).
-	pot = append(pot, vg.X[0])
-	cur = append(cur, vg.Y[0])
-	for i := 1; i < vg.Len(); i++ {
-		if vg.X[i] >= vg.X[i-1] {
-			break
-		}
-		pot = append(pot, vg.X[i])
-		cur = append(cur, vg.Y[i])
+	n := 1
+	for n < vg.Len() && !(vg.X[n] >= vg.X[n-1]) {
+		n++
 	}
-	if len(pot) < 8 {
-		return nil, nil, fmt.Errorf("analysis: voltammogram does not start with a cathodic branch")
+	if n < 8 {
+		return 0, errNoCathodicBranch
 	}
-	return pot, cur, nil
+	return n, nil
 }
 
 // FindReductionPeaks locates cathodic peaks on the forward branch of a
@@ -55,54 +65,24 @@ func ForwardBranch(vg *trace.XY) (pot, cur []float64, err error) {
 // lightly, and run through the prominence-based peak detector.
 // minHeight filters peaks smaller than the given current magnitude.
 func FindReductionPeaks(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, error) {
-	pot, cur, err := ForwardBranch(vg)
-	if err != nil {
+	var s PeakScratch
+	if err := s.scan(vg, minHeight); err != nil {
 		return nil, err
 	}
-	// Invert so reduction peaks point up, remove the linear background
-	// (double-layer charging plus residual slope), and smooth.
-	inv := make([]float64, len(cur))
-	for i, y := range cur {
-		inv[i] = -y
-	}
-	base := signalproc.Detrend(inv)
-	smooth := signalproc.MovingAverage(base, 5)
-	peaks := signalproc.FindPeaks(pot, smooth, float64(minHeight))
-	out := make([]PeakQuant, 0, len(peaks))
-	for _, p := range peaks {
-		if p.Y < float64(minHeight) {
-			continue
-		}
-		out = append(out, PeakQuant{
-			Potential:  phys.Voltage(p.X),
-			Height:     phys.Current(p.Y),
-			Prominence: p.Prominence,
-		})
-	}
-	return out, nil
+	s.sort()
+	return s.quants, nil
 }
 
 // PeakNear returns the detected reduction peak closest to the expected
 // potential within the given window, or an error when none lies inside.
 func PeakNear(vg *trace.XY, expected phys.Voltage, window phys.Voltage, minHeight phys.Current) (PeakQuant, error) {
-	peaks, err := FindReductionPeaks(vg, minHeight)
-	if err != nil {
+	var s PeakScratch
+	if err := s.scan(vg, minHeight); err != nil {
 		return PeakQuant{}, err
 	}
-	best := -1
-	bestDist := float64(window)
-	for i, p := range peaks {
-		d := float64(p.Potential - expected)
-		if d < 0 {
-			d = -d
-		}
-		if d <= bestDist {
-			bestDist = d
-			best = i
-		}
-	}
-	if best < 0 {
+	pk, ok := s.Near(expected, window)
+	if !ok {
 		return PeakQuant{}, fmt.Errorf("analysis: no reduction peak within %v of %v", window, expected)
 	}
-	return peaks[best], nil
+	return pk, nil
 }

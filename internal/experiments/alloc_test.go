@@ -95,7 +95,7 @@ func TestRunMonitorAllocCeiling(t *testing.T) {
 // traffic: the Fig. 4 six-target platform at seed 9 behind 4 shards of
 // one worker each, running a 64-sample cohort of ⅓ metabolite-subset,
 // ⅓ drug-subset and ⅓ full-panel samples. A warm fleet measured
-// 32.5–32.8 allocs/panel on go1.24 at 1, 2 and 4 shards; the ceiling is
+// 26.5–26.7 allocs/panel on go1.24 at 1, 2 and 4 shards; the ceiling is
 // the 33.14 allocs/panel recorded after the batched kernel landed,
 // plus 30%.
 func TestFleetAllocCeiling(t *testing.T) {

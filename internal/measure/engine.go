@@ -704,13 +704,8 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// Voltammogram: the final full cycle.
 	first := finalCycleFirstIndex(n, dt, total-2*sweep.HalfPeriod())
 	vg := e.newXY("V", "A")
-	if cap(vg.X) < n-first {
-		vg.X = make([]float64, 0, n-first)
-		vg.Y = make([]float64, 0, n-first)
-	}
-	for i := first; i < n; i++ {
-		vg.Append(pot.Values[i], cur.Values[i])
-	}
+	vg.X = append(vg.X, pot.Values[first:n]...)
+	vg.Y = append(vg.Y, cur.Values[first:n]...)
 	return &CVResult{
 		WE:           weName,
 		Rate:         proto.Rate,

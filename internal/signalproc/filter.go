@@ -19,28 +19,47 @@ var ErrUnordered = errors.New("signalproc: sample times not ascending")
 // width. Edges use the available partial window. Width ≤ 1 returns a
 // copy.
 func MovingAverage(xs []float64, width int) []float64 {
-	out := make([]float64, len(xs))
+	return MovingAverageInto(nil, xs, width)
+}
+
+// MovingAverageInto is MovingAverage writing into dst. The returned
+// slice aliases dst's backing array when it has capacity for the input.
+func MovingAverageInto(dst, xs []float64, width int) []float64 {
+	dst = growFloats(dst, len(xs))
 	if width <= 1 {
-		copy(out, xs)
-		return out
+		copy(dst, xs)
+		return dst
 	}
 	half := width / 2
-	for i := range xs {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
+	if half != 2 {
+		for i := range xs {
+			dst[i] = smoothAt(xs, i, half)
 		}
-		hi := i + half
-		if hi > len(xs)-1 {
-			hi = len(xs) - 1
-		}
-		s := 0.0
-		for j := lo; j <= hi; j++ {
-			s += xs[j]
-		}
-		out[i] = s / float64(hi-lo+1)
+		return dst
 	}
-	return out
+	// The voltammogram smoother's 5-sample window, unrolled where it
+	// fits whole; the sum keeps smoothAt's order from 0.0, so −0 and
+	// rounding are unchanged.
+	for i := 2; i < len(xs)-2; i++ {
+		w := xs[i-2 : i+3 : i+3]
+		dst[i] = (0.0 + w[0] + w[1] + w[2] + w[3] + w[4]) / 5
+	}
+	for i := range min(2, len(xs)) {
+		dst[i] = smoothAt(xs, i, 2)
+	}
+	for i := max(len(xs)-2, 2); i < len(xs); i++ {
+		dst[i] = smoothAt(xs, i, 2)
+	}
+	return dst
+}
+
+// growFloats returns dst resized to n samples, reallocating only when
+// the capacity is insufficient.
+func growFloats(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	return dst[:n]
 }
 
 // LowPass applies a one-pole IIR low-pass with smoothing factor alpha in

@@ -1,7 +1,8 @@
 package signalproc
 
 import (
-	"sort"
+	"math"
+	"slices"
 )
 
 // Peak is one detected local extremum in a sampled curve.
@@ -25,55 +26,133 @@ type Peak struct {
 // To find minima (cathodic reduction peaks, which are negative currents
 // under the IUPAC convention), negate ys first.
 func FindPeaks(xs, ys []float64, minProminence float64) []Peak {
-	if len(xs) != len(ys) || len(ys) < 3 {
-		return nil
-	}
-	var peaks []Peak
-	for i := 1; i < len(ys)-1; i++ {
-		if !(ys[i] > ys[i-1] && ys[i] >= ys[i+1]) {
-			continue
-		}
-		prom := prominence(ys, i)
-		if prom < minProminence {
-			continue
-		}
-		x, y := refine(xs, ys, i)
-		peaks = append(peaks, Peak{Index: i, X: x, Y: y, Prominence: prom})
-	}
-	// Merge plateau twins: identical refined X within half a sample.
-	peaks = dedupe(xs, peaks)
-	sort.Slice(peaks, func(i, j int) bool { return peaks[i].Prominence > peaks[j].Prominence })
+	peaks := new(PeakFinder).Find(xs, ys, minProminence)
+	SortByProminence(peaks)
 	return peaks
 }
 
-// prominence computes the classic topographic prominence of the peak at
-// index i: descend on both sides to the lowest point before a higher
-// peak (or the series edge) and take the height above the higher of the
-// two minima.
-func prominence(ys []float64, i int) float64 {
-	leftMin := ys[i]
-	for j := i - 1; j >= 0; j-- {
-		if ys[j] > ys[i] {
-			break
+// PeakFinder runs FindPeaks' detection over reusable buffers: once they
+// have grown to the longest curve seen, Find allocates nothing. A
+// finder belongs to one goroutine.
+type PeakFinder struct {
+	peaks []Peak
+	stack []basin
+}
+
+// basin is one entry of the monotonic stack behind a prominence pass:
+// a sample and its floor so far, the minimum of the samples passed
+// since the nearest strictly higher one.
+type basin struct{ top, min float64 }
+
+// Find returns the peaks FindPeaks returns, in index order instead of
+// prominence order; the result is valid until the next Find.
+//
+// The prominence of a maximum is its height above the higher of its
+// two valley floors, each the lowest sample before a strictly higher
+// one (or the series edge). Two monotonic-stack passes, one per side,
+// give every maximum its floor in O(n): a sample pops the entries it
+// is at least as high as and inherits their minima. Minima combine
+// nearest-first with a strict <, so among equal floors — −0 and +0
+// included — the one closest to the peak is kept, as a walk outward
+// from the peak keeps it. NaN samples neither stop a walk nor lower a
+// floor, so both passes skip them.
+//
+// xs must be evenly spaced and monotone, as a sweep's potentials are:
+// refined positions then ascend or descend with the index, so a
+// plateau twin can only be within a sample spacing of the last peak
+// kept.
+func (f *PeakFinder) Find(xs, ys []float64, minProminence float64) []Peak {
+	peaks := f.peaks[:0]
+	if len(xs) != len(ys) || len(ys) < 3 {
+		return peaks
+	}
+	// Left pass: collect the maxima in index order, each holding its
+	// left floor in Prominence until the right pass.
+	stack := f.stack[:0]
+	for i, y := range ys {
+		if y != y {
+			continue
 		}
-		if ys[j] < leftMin {
-			leftMin = ys[j]
+		var m float64
+		stack, m = fill(stack, y)
+		if i > 0 && i < len(ys)-1 && y > ys[i-1] && y >= ys[i+1] {
+			peaks = append(peaks, Peak{Index: i, Prominence: m})
 		}
 	}
-	rightMin := ys[i]
-	for j := i + 1; j < len(ys); j++ {
-		if ys[j] > ys[i] {
-			break
+	// Right pass, stopping at the first maximum.
+	stack = stack[:0]
+	k := len(peaks) - 1
+	for i := len(ys) - 1; k >= 0; i-- {
+		y := ys[i]
+		if y != y {
+			continue
 		}
-		if ys[j] < rightMin {
-			rightMin = ys[j]
+		var m float64
+		stack, m = fill(stack, y)
+		if i == peaks[k].Index {
+			base := peaks[k].Prominence
+			if m > base {
+				base = m
+			}
+			peaks[k].Prominence = y - base
+			k--
 		}
 	}
-	base := leftMin
-	if rightMin > base {
-		base = rightMin
+	// Keep the prominent maxima, refined, merging plateau twins:
+	// refined X within one sample spacing of the last peak kept (none
+	// before the first, as NaN compares false).
+	dx := xs[1] - xs[0]
+	if dx < 0 {
+		dx = -dx
 	}
-	return ys[i] - base
+	kept, lastX := 0, math.NaN()
+	for _, p := range peaks {
+		if p.Prominence < minProminence {
+			continue
+		}
+		p.X, p.Y = refine(xs, ys, p.Index)
+		d := p.X - lastX
+		if d < 0 {
+			d = -d
+		}
+		if d <= dx {
+			continue
+		}
+		peaks[kept] = p
+		kept++
+		lastX = p.X
+	}
+	f.peaks, f.stack = peaks, stack
+	return peaks[:kept]
+}
+
+// SortByProminence orders peaks by descending prominence, as FindPeaks
+// returns them. slices.SortFunc runs the same pdqsort as sort.Slice,
+// so equal prominences come out in sort.Slice's order.
+func SortByProminence(peaks []Peak) {
+	slices.SortFunc(peaks, func(a, b Peak) int {
+		if a.Prominence > b.Prominence {
+			return -1
+		}
+		if a.Prominence < b.Prominence {
+			return 1
+		}
+		return 0
+	})
+}
+
+// fill pushes sample y onto a pass's stack and returns the stack and
+// y's floor: the entries y is at least as high as are popped, nearest
+// first, and their minima lowered into y.
+func fill(stack []basin, y float64) ([]basin, float64) {
+	m := y
+	for len(stack) > 0 && stack[len(stack)-1].top <= y {
+		if b := stack[len(stack)-1].min; b < m {
+			m = b
+		}
+		stack = stack[:len(stack)-1]
+	}
+	return append(stack, basin{y, m}), m
 }
 
 // refine fits a parabola through (i-1, i, i+1) and returns the vertex.
@@ -95,35 +174,4 @@ func refine(xs, ys []float64, i int) (x, y float64) {
 		dx = xs[i+1] - xs[i]
 	}
 	return xs[i] + delta*dx, y1 - 0.25*(y0-y2)*delta
-}
-
-func dedupe(xs []float64, peaks []Peak) []Peak {
-	if len(peaks) < 2 {
-		return peaks
-	}
-	dx := 0.0
-	if len(xs) > 1 {
-		dx = xs[1] - xs[0]
-		if dx < 0 {
-			dx = -dx
-		}
-	}
-	var out []Peak
-	for _, p := range peaks {
-		dup := false
-		for _, q := range out {
-			d := p.X - q.X
-			if d < 0 {
-				d = -d
-			}
-			if d <= dx {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, p)
-		}
-	}
-	return out
 }
