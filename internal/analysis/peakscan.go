@@ -17,13 +17,7 @@ import (
 type PeakScratch struct {
 	base, smooth []float64
 	finder       signalproc.PeakFinder
-	// peaks are the scanned peaks and quants those at least minHeight
-	// high, in index order until sorted is set, then in
-	// FindReductionPeaks' prominence order.
-	peaks     []signalproc.Peak
-	quants    []PeakQuant
-	minHeight phys.Current
-	sorted    bool
+	quants       []PeakQuant
 }
 
 // Scan runs FindReductionPeaks over the voltammogram into scratch
@@ -34,8 +28,8 @@ func (s *PeakScratch) Scan(vg *trace.XY, minHeight phys.Current) bool {
 	return s.scan(vg, minHeight) == nil
 }
 
-// scan detects the voltammogram's reduction peaks into the scratch,
-// leaving them in index order.
+// scan fills s.quants with the voltammogram's reduction peaks, in
+// FindReductionPeaks' order.
 func (s *PeakScratch) scan(vg *trace.XY, minHeight phys.Current) error {
 	n, err := forwardBranchLen(vg)
 	if err != nil {
@@ -53,17 +47,11 @@ func (s *PeakScratch) scan(vg *trace.XY, minHeight phys.Current) error {
 		s.base[i] = -y - (y0 + slope*float64(i))
 	}
 	s.smooth = signalproc.MovingAverageInto(s.smooth, s.base, 5)
-	s.peaks = s.finder.Find(pot, s.smooth, float64(minHeight))
-	s.minHeight, s.sorted = minHeight, false
-	s.quantify()
-	return nil
-}
-
-// quantify lists the peaks at least minHeight high, in peak order.
-func (s *PeakScratch) quantify() {
+	peaks := s.finder.Find(pot, s.smooth, float64(minHeight))
+	signalproc.SortByProminence(peaks)
 	s.quants = s.quants[:0]
-	for _, p := range s.peaks {
-		if p.Y < float64(s.minHeight) {
+	for _, p := range peaks {
+		if p.Y < float64(minHeight) {
 			continue
 		}
 		s.quants = append(s.quants, PeakQuant{
@@ -72,31 +60,21 @@ func (s *PeakScratch) quantify() {
 			Prominence: p.Prominence,
 		})
 	}
-}
-
-// sort puts the scanned peaks in FindReductionPeaks' order.
-func (s *PeakScratch) sort() {
-	if !s.sorted {
-		signalproc.SortByProminence(s.peaks)
-		s.quantify()
-		s.sorted = true
-	}
+	return nil
 }
 
 // Near returns the scanned peak closest to the expected potential
 // within the window; of several at the minimal distance, the one last
 // in FindReductionPeaks' order wins.
 func (s *PeakScratch) Near(expected, window phys.Voltage) (PeakQuant, bool) {
-	if !s.sorted {
-		if pk, ok, sure := s.nearUnsorted(expected, window); sure {
-			return pk, ok
-		}
-		s.sort()
-	}
 	best := -1
 	bestDist := float64(window)
 	for i, p := range s.quants {
-		if d := distance(p, expected); d <= bestDist {
+		d := float64(p.Potential - expected)
+		if d < 0 {
+			d = -d
+		}
+		if d <= bestDist {
 			bestDist = d
 			best = i
 		}
@@ -105,44 +83,4 @@ func (s *PeakScratch) Near(expected, window phys.Voltage) (PeakQuant, bool) {
 		return PeakQuant{}, false
 	}
 	return s.quants[best], true
-}
-
-// nearUnsorted is Near on the scan's index order. FindReductionPeaks'
-// order is descending prominence, so of the closest peaks the least
-// prominent one is last in it. sure is false where the sort decides
-// instead: two of the closest peaks also tie in prominence, or a NaN
-// prominence leaves the sorted order other than descending.
-func (s *PeakScratch) nearUnsorted(expected, window phys.Voltage) (pk PeakQuant, ok, sure bool) {
-	for _, p := range s.peaks {
-		if p.Prominence != p.Prominence {
-			return PeakQuant{}, false, false
-		}
-	}
-	best, ties := -1, 0
-	bestDist := float64(window)
-	for i, p := range s.quants {
-		d := distance(p, expected)
-		if !(d <= bestDist) {
-			continue
-		}
-		switch {
-		case best < 0 || d < bestDist || p.Prominence < s.quants[best].Prominence:
-			best, bestDist, ties = i, d, 1
-		case p.Prominence == s.quants[best].Prominence:
-			ties++
-		}
-	}
-	if best < 0 {
-		return PeakQuant{}, false, true
-	}
-	return s.quants[best], true, ties == 1
-}
-
-// distance is the peak's distance from the expected potential, in volts.
-func distance(p PeakQuant, expected phys.Voltage) float64 {
-	d := float64(p.Potential - expected)
-	if d < 0 {
-		d = -d
-	}
-	return d
 }

@@ -115,7 +115,7 @@ func randomVoltammogram(rng *rand.Rand) *trace.XY {
 
 // TestPeakScanMatchesReference: one reused PeakScratch fails exactly
 // where the reference errors, picks the same peak near every expected
-// potential and, sorted, holds the reference's peaks bit for bit;
+// potential and holds the reference's peaks bit for bit;
 // FindReductionPeaks and PeakNear agree with it.
 func TestPeakScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
@@ -164,7 +164,6 @@ func TestPeakScanMatchesReference(t *testing.T) {
 					i, vg.Len(), expected, window, pk, ok, near, err, best)
 			}
 		}
-		s.sort()
 		if len(s.quants) != len(want) {
 			t.Fatalf("trace %d (n=%d): %d scanned peaks, reference %d", i, vg.Len(), len(s.quants), len(want))
 		}
@@ -173,24 +172,6 @@ func TestPeakScanMatchesReference(t *testing.T) {
 				t.Fatalf("trace %d (n=%d) peak %d: scanned %+v, reference %+v", i, vg.Len(), k, s.quants[k], want[k])
 			}
 		}
-	}
-}
-
-// TestPeakScratchNearNaNProminence: with a NaN prominence among the
-// peaks the sort's order is not descending — insertion sort leaves
-// prominences [1, NaN, 2] as they are — so of two peaks equally close
-// to the expected potential the more prominent one is last and wins.
-func TestPeakScratchNearNaNProminence(t *testing.T) {
-	var s PeakScratch
-	s.peaks = []signalproc.Peak{
-		{Index: 1, X: -0.01, Y: 1, Prominence: 1},
-		{Index: 3, X: 0.05, Y: 1, Prominence: math.NaN()},
-		{Index: 5, X: 0.01, Y: 1, Prominence: 2},
-	}
-	s.quantify()
-	pk, ok := s.Near(0, phys.MilliVolts(80))
-	if !ok || pk.Prominence != 2 {
-		t.Fatalf("Near picked %+v (%v), want the peak of prominence 2", pk, ok)
 	}
 }
 

@@ -69,7 +69,6 @@ func FindReductionPeaks(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, erro
 	if err := s.scan(vg, minHeight); err != nil {
 		return nil, err
 	}
-	s.sort()
 	return s.quants, nil
 }
 

@@ -25,6 +25,12 @@ type Peak struct {
 //
 // To find minima (cathodic reduction peaks, which are negative currents
 // under the IUPAC convention), negate ys first.
+//
+// xs must be evenly spaced and monotone, as one sweep's potentials are:
+// a maximum within one sample spacing of the previous peak kept is
+// merged into it as a plateau twin, so on a non-monotone xs (a whole
+// CV cycle) two peaks at one potential on opposite sweeps are both
+// kept.
 func FindPeaks(xs, ys []float64, minProminence float64) []Peak {
 	peaks := new(PeakFinder).Find(xs, ys, minProminence)
 	SortByProminence(peaks)

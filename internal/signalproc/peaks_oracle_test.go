@@ -224,3 +224,31 @@ func TestFindPeaksMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestFindPeaksNonMonotoneSweep pins FindPeaks on a whole cycle, whose
+// potentials rise and fall back: two maxima at the same potential on
+// opposite sweeps, with another peak between them, are both kept,
+// because a plateau twin is merged only into the previous peak kept.
+// The replaced detector merged against every kept peak and dropped the
+// second one.
+func TestFindPeaksNonMonotoneSweep(t *testing.T) {
+	xs := make([]float64, 21)
+	ys := make([]float64, 21)
+	for i := range xs {
+		xs[i] = float64(min(i, 20-i))
+	}
+	ys[3], ys[7], ys[17] = 1, 1.5, 2 // x = 3, 7 and 3
+	got := FindPeaks(xs, ys, 0.5)
+	want := []int{17, 7, 3}
+	if len(got) != len(want) {
+		t.Fatalf("FindPeaks = %+v, want the maxima at indices %v", got, want)
+	}
+	for k, i := range want {
+		if got[k].Index != i || got[k].X != xs[i] {
+			t.Fatalf("FindPeaks = %+v, want the maxima at indices %v", got, want)
+		}
+	}
+	if ref := findPeaksReference(xs, ys, 0.5); len(ref) != 2 {
+		t.Fatalf("reference = %+v, want two peaks after its merge against every kept peak", ref)
+	}
+}
