@@ -334,6 +334,15 @@
 //   - Noise synthesis, the largest cost of a panel, is one ziggurat
 //     draw per normal and O(1) flicker bookkeeping per sample.
 //
+//   - The acquisition chain works a run at a time. The measurement loops
+//     compute a run's cell current first, then hand the whole run to
+//     analog.Chain.DigitizeRun, which draws white and flicker noise in
+//     blocks (mathx.RNG.NormFill), each from its own stream, and applies
+//     mux, noise, TIA, ADC and current recovery in one loop with the
+//     run's constants held in locals. Each stream keeps its draw order,
+//     so the output is bit-identical to sample-at-a-time Digitize calls
+//     and analog.NoiseModelVersion is unchanged.
+//
 //   - The diffusion problem is linear in bulk concentration, so the
 //     panel path never re-simulates it per sample: the calibration
 //     cache precomputes each voltammetric electrode's unit flux basis

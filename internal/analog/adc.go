@@ -48,7 +48,8 @@ func (a *ADC) LSB() phys.Voltage {
 // Quantize converts v to the nearest code and back, clamping at the
 // rails — the value the digital side of the platform actually sees.
 func (a *ADC) Quantize(v phys.Voltage) phys.Voltage {
-	return a.quantize(v, float64(a.LSB()), a.maxCode())
+	lsb := float64(a.LSB())
+	return phys.Voltage(adcLevel(adcCode(float64(v), float64(a.FullScale), lsb), lsb, a.maxCode()))
 }
 
 // maxCode returns the largest positive code, 2^(Bits−1) − 1.
@@ -56,26 +57,32 @@ func (a *ADC) maxCode() float64 {
 	return float64(uint64(1)<<uint(a.Bits-1)) - 1
 }
 
-// quantize is Quantize with the step and the largest code supplied by
-// the caller, so a per-sample loop derives them once per run (see
-// Chain.Reset).
-func (a *ADC) quantize(v phys.Voltage, lsb, maxCode float64) phys.Voltage {
-	fs := float64(a.FullScale)
-	x := float64(v)
+// adcCode clamps x to the rails ±fs and rounds it to the nearest code;
+// adcLevel then turns the code into its voltage. Quantize and
+// Chain.DigitizeRun both quantize through the pair, DigitizeRun with
+// the step and largest code Chain.Reset fixed for the run. Each half is
+// small enough to inline into DigitizeRun's loop, where a call would
+// spill the loop's registers on every sample.
+func adcCode(x, fs, lsb float64) float64 {
 	if x > fs {
 		x = fs
 	}
 	if x < -fs {
 		x = -fs
 	}
-	code := math.Round(x / lsb)
+	return math.Round(x / lsb)
+}
+
+// adcLevel clamps code to the converter's two's-complement range and
+// returns its voltage.
+func adcLevel(code, lsb, maxCode float64) float64 {
 	if code > maxCode {
 		code = maxCode
 	}
 	if code < -maxCode-1 {
 		code = -maxCode - 1
 	}
-	return phys.Voltage(code * lsb)
+	return code * lsb
 }
 
 // Code returns the integer code for v (clamped two's-complement range).

@@ -108,7 +108,7 @@ func (c *Chain) Validate() error {
 
 // Reset prepares the chain for a run sampled at interval dt. It also
 // fixes the ADC's step and code range for the run, so Reset must
-// precede Digitize and follow any change to Converter.
+// precede Digitize and DigitizeRun and follow any change to Converter.
 func (c *Chain) Reset(dt float64) {
 	c.Readout.Reset(dt)
 	c.lsb = float64(c.Converter.LSB())
@@ -134,19 +134,100 @@ func (c *Chain) ApplyPotential(target phys.Voltage) phys.Voltage {
 }
 
 // Digitize processes one cell-current sample through mux, noise, TIA and
-// ADC, returning the recorded voltage. Call Reset before the first
-// sample of a run.
+// ADC, returning the recorded voltage: DigitizeRun over a run of one.
+// Call Reset before the first sample of a run.
 //
 //advdiag:hotpath
 func (c *Chain) Digitize(i phys.Current) phys.Voltage {
-	if c.Mux != nil {
-		i = c.Mux.Pass(i)
+	in := [1]float64{float64(i)}
+	var rec, cur [1]float64
+	c.DigitizeRun(in[:], rec[:], cur[:])
+	return phys.Voltage(rec[0])
+}
+
+// runBlock is how many draws DigitizeRun takes from each noise stream
+// at a time: a block of both streams fits in L1 next to the run's
+// traces, so the loop reads its draws while they are still cached.
+const runBlock = 256
+
+// DigitizeRun digitizes a run of cell currents in one pass. For every
+// k, rec[k] is the recorded voltage and cur[k] the current
+// CurrentFromVoltage recovers from it, bit for bit what len(in)
+// successive Digitize calls return, and the chain's filter and noise
+// state end where theirs would. Each noise stream fills a block of
+// draws into rec and cur ahead of the samples that overwrite them, so
+// rec and cur must hold len(in) samples and overlap neither in nor each
+// other. Call Reset before the first sample of a run.
+//
+//advdiag:hotpath
+func (c *Chain) DigitizeRun(in, rec, cur []float64) {
+	n := len(in)
+	rec, cur = rec[:n], cur[:n]
+	mux := c.Mux != nil
+	leak := 0.0
+	if mux {
+		leak = float64(c.Mux.Channels-1) * float64(c.Mux.Leakage)
 	}
-	if c.Noise != nil {
-		i += phys.Current(c.Noise.Sample())
+	t := c.Readout
+	rf, sat, alpha, offset := float64(t.Feedback), float64(t.Saturation), t.alpha, float64(t.OutputOffset)
+	state, primed := t.state, t.initialized
+	fs, lsb, maxCode := float64(c.Converter.FullScale), c.lsb, c.maxCode
+
+	// A silent source (σ ≤ 0) draws nothing and adds an exact 0, as its
+	// Sample does. A chain without Noise adds nothing at all: even +0
+	// would turn a −0 current into +0.
+	noisy := c.Noise != nil
+	var white, flicker *mathx.RNG
+	var wSigma, fSigma, fNorm, fSum, scale float64
+	var rows []float64
+	var count uint64
+	if noisy {
+		if w := c.Noise.white; !(w.Sigma <= 0) {
+			white, wSigma = w.rng, w.Sigma
+		}
+		if f := c.Noise.flicker; !(f.Sigma <= 0) {
+			flicker, fSigma, fNorm = f.rng, f.Sigma, f.norm
+			rows, fSum, count = f.rows, f.sum, f.count
+		}
+		scale = c.Noise.flickerScale
 	}
-	v := c.Readout.Convert(i)
-	return c.Converter.quantize(v, c.lsb, c.maxCode)
+
+	for lo := 0; lo < n; lo += runBlock {
+		hi := min(lo+runBlock, n)
+		if white != nil {
+			white.NormFill(rec[lo:hi])
+		}
+		if flicker != nil {
+			flicker.NormFill(cur[lo:hi])
+		}
+		for k := lo; k < hi; k++ {
+			x := in[k]
+			if mux {
+				x += leak
+			}
+			if noisy {
+				w, fl := 0.0, 0.0
+				if white != nil {
+					w = wSigma * rec[k]
+				}
+				if flicker != nil {
+					fSum, count = flickerAdvance(rows, fSum, count, cur[k])
+					fl = fSigma * fSum * fNorm
+				}
+				x += w + scale*fl
+			}
+			state = tiaStep(x, rf, sat, alpha, state, primed)
+			primed = true
+			v := adcLevel(adcCode(state+offset, fs, lsb), lsb, maxCode)
+			rec[k] = v
+			cur[k] = -v / rf
+		}
+	}
+
+	t.state, t.initialized = state, primed
+	if flicker != nil {
+		c.Noise.flicker.sum, c.Noise.flicker.count = fSum, count
+	}
 }
 
 // CurrentFromVoltage inverts the nominal transimpedance, recovering the

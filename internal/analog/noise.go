@@ -20,7 +20,11 @@ import (
 // bit bumps it, so results stamped with different versions are known
 // not to be bit-comparable. Version 1 was polar Box–Muller with an
 // O(rows) flicker re-sum; version 2 is the 128-layer ziggurat with the
-// O(1) running-sum flicker source.
+// O(1) running-sum flicker source. Chain.DigitizeRun's block draws
+// (mathx.RNG.NormFill) kept version 2: the white, flicker and blank
+// sources each own a Split stream, and each stream still yields its
+// draws in the same order, so only the interleaving across independent
+// streams changed, which moves no bit.
 const NoiseModelVersion = 2
 
 // WhiteNoise produces independent Gaussian samples — thermal (Johnson)
@@ -92,17 +96,24 @@ func (f *FlickerNoise) Sample() float64 {
 	if f.Sigma <= 0 {
 		return 0
 	}
-	f.count++
-	// Update the row whose bit flipped: row k changes every 2^k
-	// samples, and the last row takes every slower rate too.
-	row := bits.TrailingZeros64(f.count)
-	if row >= len(f.rows) {
-		row = len(f.rows) - 1
-	}
-	v := f.rng.Norm()
-	f.sum += v - f.rows[row]
-	f.rows[row] = v
+	f.sum, f.count = flickerAdvance(f.rows, f.sum, f.count, f.rng.Norm())
 	return f.Sigma * f.sum * f.norm
+}
+
+// flickerAdvance is one Voss–McCartney step, shared by FlickerNoise.Sample
+// and Chain.DigitizeRun: it redraws the row whose bit flipped at sample
+// count+1 to v and returns the updated running sum and count. Row k
+// changes every 2^k samples, and the last row takes every slower rate
+// too.
+func flickerAdvance(rows []float64, sum float64, count uint64, v float64) (float64, uint64) {
+	count++
+	row := bits.TrailingZeros64(count)
+	if row >= len(rows) {
+		row = len(rows) - 1
+	}
+	sum += v - rows[row]
+	rows[row] = v
+	return sum, count
 }
 
 // NoiseModel bundles the input-referred current noise of a readout

@@ -61,21 +61,27 @@ func (t *TIA) Reset(dt float64) {
 // Convert processes one current sample into the output voltage,
 // applying the transimpedance, saturation and the bandwidth pole.
 func (t *TIA) Convert(i phys.Current) phys.Voltage {
-	v := -float64(i) * float64(t.Feedback)
-	sat := float64(t.Saturation)
+	t.state = tiaStep(float64(i), float64(t.Feedback), float64(t.Saturation), t.alpha, t.state, t.initialized)
+	t.initialized = true
+	return phys.Voltage(t.state) + t.OutputOffset
+}
+
+// tiaStep is one sample of the stage, shared by Convert and
+// Chain.DigitizeRun: the transimpedance −i·rf clamped to ±sat, then the
+// one-pole filter, which a first sample (primed false) initializes. It
+// returns the new filter state, the output before OutputOffset.
+func tiaStep(i, rf, sat, alpha, state float64, primed bool) float64 {
+	v := -i * rf
 	if v > sat {
 		v = sat
 	}
 	if v < -sat {
 		v = -sat
 	}
-	if !t.initialized {
-		t.state = v
-		t.initialized = true
-	} else {
-		t.state += t.alpha * (v - t.state)
+	if !primed {
+		return v
 	}
-	return phys.Voltage(t.state) + t.OutputOffset
+	return state + alpha*(v-state)
 }
 
 // FullScaleCurrent returns the current magnitude that saturates the

@@ -7,7 +7,9 @@ package cell
 
 import (
 	"fmt"
+	"iter"
 	"math"
+	"slices"
 	"sort"
 
 	"advdiag/internal/electrode"
@@ -106,6 +108,13 @@ func (s *Solution) At(species string, t float64) phys.Concentration {
 // slice is a copy the caller may keep or mutate.
 func (s *Solution) Species() []string {
 	return append([]string(nil), s.names...)
+}
+
+// AllSpecies iterates over the names Species returns, in the same
+// sorted order, without copying them: the read path for per-run loops
+// that only look each name up.
+func (s *Solution) AllSpecies() iter.Seq[string] {
+	return slices.Values(s.names)
 }
 
 // Sampler is an O(1)-per-call view of one species' concentration

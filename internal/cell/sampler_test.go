@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"slices"
 	"testing"
 
 	"advdiag/internal/phys"
@@ -69,6 +70,9 @@ func TestSpeciesCache(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Species() = %v, want %v", got, want)
 		}
+	}
+	if all := slices.Collect(sol.AllSpecies()); !slices.Equal(all, want) {
+		t.Fatalf("AllSpecies() = %v, want %v", all, want)
 	}
 	// The returned slice is a copy.
 	got[0] = "mutated"

@@ -55,10 +55,10 @@ func TestFig4AllocCeiling(t *testing.T) {
 }
 
 // TestRunMonitorAllocCeiling pins the pooled monitor tick: a tick
-// allocates only the two series it returns plus a couple of small
-// per-run objects inside measure.RunCA (4 allocs on go1.24; the
-// per-tick construction it replaced took 62). The ceiling leaves room
-// for an injection's sampler and sort.
+// allocates only the two series it returns plus the CAResult of
+// measure.RunCA (3 allocs on go1.24; the per-tick construction it
+// replaced took 62). The ceiling leaves room for an injection's sampler
+// and sort.
 func TestRunMonitorAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratches at random, so a tick's count includes rebuilding one")
@@ -95,7 +95,7 @@ func TestRunMonitorAllocCeiling(t *testing.T) {
 // traffic: the Fig. 4 six-target platform at seed 9 behind 4 shards of
 // one worker each, running a 64-sample cohort of ⅓ metabolite-subset,
 // ⅓ drug-subset and ⅓ full-panel samples. A warm fleet measured
-// 26.5–26.7 allocs/panel on go1.24 at 1, 2 and 4 shards; the ceiling is
+// 23.5–23.7 allocs/panel on go1.24 at 1, 2 and 4 shards; the ceiling is
 // the 33.14 allocs/panel recorded after the batched kernel landed,
 // plus 30%.
 func TestFleetAllocCeiling(t *testing.T) {

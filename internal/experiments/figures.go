@@ -299,12 +299,10 @@ func NoiseAblation() (*Result, error) {
 		ch := analog.NewOxidaseChain(nil, rng)
 		ch.Noise.EnableChopper(chopper)
 		ch.Reset(0.1)
-		var vals []float64
-		for i := 0; i < 4000; i++ {
-			v := ch.Digitize(0)
-			vals = append(vals, float64(ch.CurrentFromVoltage(v)))
-		}
-		return mathx.StdDev(vals)
+		const n = 4000
+		zeros, rec, cur := make([]float64, n), make([]float64, n), make([]float64, n)
+		ch.DigitizeRun(zeros, rec, cur)
+		return mathx.StdDev(cur)
 	}
 	floorPlain := chainFloor(false)
 	floorChop := chainFloor(true)

@@ -57,18 +57,51 @@ func (r *RNG) Float64() float64 {
 // Uint64 supplies the layer (bits 0–6), the sign (bit 7) and a 53-bit
 // abscissa (bits 11–63); about 97% of draws end there. The rest fall
 // in a layer's wedge, accepted against the density, or past the base
-// strip's edge r, sampled exactly from the tail.
+// strip's edge r, sampled exactly from the tail (normSlow).
 //
 //advdiag:hotpath
 func (r *RNG) Norm() float64 {
-	for {
-		u := r.Uint64()
+	u := r.Uint64()
+	i := u & (zigLayers - 1)
+	j := u >> 11
+	x := float64(int64(j)) * zigW[i]
+	if j < zigK[i] {
+		return zigSign(u, x)
+	}
+	return r.normSlow(u, i, x)
+}
+
+// NormFill fills dst with standard normal variates: exactly the values,
+// and the generator state, of len(dst) successive Norm calls. The
+// ziggurat's fast path runs with the stream state in a local; wedge and
+// tail draws take the shared slow path, so the draw sequence is Norm's.
+//
+//advdiag:hotpath
+func (r *RNG) NormFill(dst []float64) {
+	s := r.state
+	for k := range dst {
+		s += SplitmixGamma
+		u := Mix64(s)
 		i := u & (zigLayers - 1)
 		j := u >> 11
 		x := float64(int64(j)) * zigW[i]
 		if j < zigK[i] {
-			return zigSign(u, x)
+			dst[k] = zigSign(u, x)
+			continue
 		}
+		r.state = s
+		dst[k] = r.normSlow(u, i, x)
+		s = r.state
+	}
+	r.state = s
+}
+
+// normSlow finishes a Norm draw whose first Uint64 u (layer i, scaled
+// abscissa x) missed the fast path: a base-strip draw samples the tail,
+// a wedge draw is tested against the density, and a rejected draw
+// starts over with a fresh Uint64.
+func (r *RNG) normSlow(u, i uint64, x float64) float64 {
+	for {
 		if i == 0 {
 			// Base strip past r: Marsaglia's exponential-rejection
 			// tail sampler. 1−Float64 lies in (0, 1], so Log is finite.
@@ -83,6 +116,13 @@ func (r *RNG) Norm() float64 {
 		// Wedge: accept when a uniform height under layer i falls
 		// below the density.
 		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+			return zigSign(u, x)
+		}
+		u = r.Uint64()
+		i = u & (zigLayers - 1)
+		j := u >> 11
+		x = float64(int64(j)) * zigW[i]
+		if j < zigK[i] {
 			return zigSign(u, x)
 		}
 	}

@@ -145,3 +145,88 @@ func TestNormScaledZeroSigmaProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refNorm is Norm as it stood before the slow path was split out for
+// NormFill: the oracle both are checked against.
+func refNorm(r *RNG) float64 {
+	for {
+		u := r.Uint64()
+		i := u & (zigLayers - 1)
+		j := u >> 11
+		x := float64(int64(j)) * zigW[i]
+		if j < zigK[i] {
+			return zigSign(u, x)
+		}
+		if i == 0 {
+			for {
+				x = -math.Log(1-r.Float64()) / zigR
+				y := -math.Log(1 - r.Float64())
+				if y+y >= x*x {
+					return zigSign(u, zigR+x)
+				}
+			}
+		}
+		if zigF[i]+r.Float64()*(zigF[i-1]-zigF[i]) < math.Exp(-0.5*x*x) {
+			return zigSign(u, x)
+		}
+	}
+}
+
+// sameBits reports whether a and b have the same bits, letting any NaN
+// match any NaN (Go pins no NaN payload).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// TestNormFillMatchesNorm checks NormFill, in blocks of random length
+// (0 included), and Norm against refNorm: every value bit for bit and
+// the generator state after each seed's stream. It also checks that the
+// streams reached both slow paths, the wedge test and the tail sampler.
+func TestNormFillMatchesNorm(t *testing.T) {
+	const seeds, perSeed = 32, 4000
+	sizes := NewRNG(99)
+	wedge, tail := 0, 0
+	buf := make([]float64, 300)
+	for seed := uint64(1); seed <= seeds; seed++ {
+		ref, one, fill := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		for drawn := 0; drawn < perSeed; {
+			m := min(int(sizes.Uint64()%300), perSeed-drawn)
+			fill.NormFill(buf[:m])
+			for k := 0; k < m; k++ {
+				u := Mix64(ref.state + SplitmixGamma)
+				if i := u & (zigLayers - 1); u>>11 >= zigK[i] {
+					if i == 0 {
+						tail++
+					} else {
+						wedge++
+					}
+				}
+				want := refNorm(ref)
+				if got := one.Norm(); !sameBits(got, want) {
+					t.Fatalf("seed %d draw %d: Norm = %v, reference %v", seed, drawn+k, got, want)
+				}
+				if !sameBits(buf[k], want) {
+					t.Fatalf("seed %d draw %d: NormFill = %v, reference %v", seed, drawn+k, buf[k], want)
+				}
+			}
+			drawn += m
+		}
+		if one.state != ref.state || fill.state != ref.state {
+			t.Fatalf("seed %d: final state Norm %#x, NormFill %#x, reference %#x", seed, one.state, fill.state, ref.state)
+		}
+	}
+	if wedge == 0 || tail == 0 {
+		t.Fatalf("slow paths not exercised: %d wedge and %d tail draws", wedge, tail)
+	}
+	t.Logf("%d draws, %d wedge, %d tail", seeds*perSeed, wedge, tail)
+}
+
+// BenchmarkNormFill draws one Fig. 4 chronoamperometric run's worth of
+// normal variates (601) per op.
+func BenchmarkNormFill(b *testing.B) {
+	r := NewRNG(1)
+	dst := make([]float64, 601)
+	for b.Loop() {
+		r.NormFill(dst)
+	}
+}

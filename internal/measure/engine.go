@@ -269,7 +269,7 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	}
 	// Direct-oxidizer interferents react at any electrode.
 	e.interferents = e.interferents[:0]
-	for _, name := range ch.Solution.Species() {
+	for name := range ch.Solution.AllSpecies() {
 		sp, err := species.Lookup(name)
 		if err != nil {
 			//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
@@ -298,6 +298,9 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	// every later one is too and the loop stops evaluating it.
 	charging := true
 
+	// Pass 1 computes the cell current. The blank-noise draws, one per
+	// sample, come as one block into rec, which pass 2 then overwrites.
+	noise.NormFill(rec.Values)
 	for i := 0; i < n; i++ {
 		t := float64(i) * dt
 		j := 0.0 // current density, A/m²
@@ -318,7 +321,7 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 			j += in.coeff * float64(in.sampler.At(t))
 		}
 		// Stochastic blank background: run offset plus sample noise.
-		j += runOffset + noise.NormScaled(sigma)
+		j += runOffset + sigma*rec.Values[i]
 
 		i0 := phys.Current(j * area)
 		// Double-layer charging from the initial potential step.
@@ -329,13 +332,9 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 		}
 
 		raw.Values[i] = float64(i0)
-		rv := chain.Digitize(i0)
-		rec.Values[i] = float64(rv)
-		// Recover the current estimate inline (the nominal
-		// transimpedance inversion is pure) instead of a second full
-		// pass over the recorded trace.
-		cur.Values[i] = float64(chain.CurrentFromVoltage(rv))
 	}
+	// Pass 2: the acquisition chain digitizes the whole run.
+	chain.DigitizeRun(raw.Values, rec.Values, cur.Values)
 
 	return &CAResult{WE: weName, Applied: actual, Baseline: proto.BaselinePhase,
 		Raw: raw, Recorded: rec, Current: cur}, nil
@@ -664,6 +663,9 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 		}
 	}
 
+	// Pass 1 computes the cell current; the blank-noise draws come as
+	// one block into rec, as in RunCA.
+	noise.NormFill(rec.Values)
 	prevE := grid.applied[0]
 	for i := 0; i < n; i++ {
 		eProg := grid.prog[i]
@@ -688,7 +690,7 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 		iCap := phys.Current(float64(dl.C) * dEdt)
 		prevE = eAct
 
-		iN := phys.Current(noise.NormScaled(sigma) * area)
+		iN := phys.Current(sigma * rec.Values[i] * area)
 		i0 := iF + iCap + iN
 		for k := range bumps {
 			i0 += phys.Current(bumps[k].amp * bumps[k].shape[i])
@@ -696,10 +698,9 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 
 		pot.Values[i] = float64(eProg)
 		raw.Values[i] = float64(i0)
-		rv := chain.Digitize(i0)
-		rec.Values[i] = float64(rv)
-		cur.Values[i] = float64(chain.CurrentFromVoltage(rv))
 	}
+	// Pass 2: the acquisition chain digitizes the whole run.
+	chain.DigitizeRun(raw.Values, rec.Values, cur.Values)
 
 	// Voltammogram: the final full cycle.
 	first := finalCycleFirstIndex(n, dt, total-2*sweep.HalfPeriod())
