@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -410,11 +411,12 @@ func (c *Client) RunMonitor(ctx context.Context, req MonitorRequest) (MonitorOut
 }
 
 // GetMonitor fetches the latest completed outcome stored for a
-// campaign ID. ErrMonitorPending means acquisitions are in flight but
-// none has completed; any other non-200 (including an unknown or
-// evicted ID) is an error.
+// campaign ID, which may hold any characters (it travels as one
+// escaped path segment). ErrMonitorPending means acquisitions are in
+// flight but none has completed; any other non-200 (including an
+// unknown or evicted ID) is an error.
 func (c *Client) GetMonitor(ctx context.Context, id string) (MonitorOutcome, error) {
-	resp, err := c.get(ctx, "/v1/monitors/"+id)
+	resp, err := c.get(ctx, "/v1/monitors/"+url.PathEscape(id))
 	if err != nil {
 		return MonitorOutcome{}, err
 	}

@@ -138,7 +138,7 @@ func splitTargets(s string) []string {
 // door up over n shards of it (shards share the design and its warmed
 // calibration cache). The fleet is returned alongside the server so
 // smokes can inject faults into it.
-func buildServer(targets []string, shards, workers, depth int, seed uint64, router string, sopts ...advdiag.ServerOption) (*advdiag.Platform, *advdiag.Fleet, *advdiag.Server, error) {
+func buildServer(targets []string, shards, workers, depth int, seed uint64, router string) (*advdiag.Platform, *advdiag.Fleet, *advdiag.Server, error) {
 	var r advdiag.Router
 	switch router {
 	case "leastloaded":
@@ -166,7 +166,7 @@ func buildServer(targets []string, shards, workers, depth int, seed uint64, rout
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	srv, err := advdiag.NewServer(fleet, sopts...)
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -182,12 +182,14 @@ const idleTimeout = 2 * time.Minute
 // serve runs the front door until SIGTERM/SIGINT, then drains: intake
 // flips to 503, in-flight requests and accepted panels finish, and the
 // process exits cleanly — the rollout dance a load-balanced deployment
-// expects.
+// expects. Health probes sweep the fleet every second while it serves,
+// so a shard the diagnoser quarantined is restored once it heals.
 func serve(addr string, targets []string, shards, workers, depth int, seed uint64, router string) error {
-	p, _, srv, err := buildServer(targets, shards, workers, depth, seed, router)
+	p, fleet, srv, err := buildServer(targets, shards, workers, depth, seed, router)
 	if err != nil {
 		return err
 	}
+	stopProbes := fleet.StartHealthProbes(time.Second)
 	fmt.Printf("labserve: %d shards × %d workers over %v (queue depth %d, %s router)\n",
 		shards, workers, p.Targets(), depth, router)
 	fmt.Printf("labserve: listening on %s\n", addr)
@@ -206,9 +208,12 @@ func serve(addr string, targets []string, shards, workers, depth int, seed uint6
 		httpSrv.Shutdown(ctx) //nolint:errcheck // best-effort teardown
 	}()
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		stopProbes()
+		srv.Close() //nolint:errcheck // the listen error is the one to report
 		return err
 	}
 	<-drained
+	stopProbes()
 	if err := srv.Close(); err != nil {
 		return err
 	}
@@ -235,6 +240,30 @@ func smokeCohort(targets []string, n int) []advdiag.Sample {
 	return out
 }
 
+// serveLoopback serves srv on an ephemeral loopback port and returns a
+// client for it, the smoke's five-minute context, and a stop function
+// that cancels the context and closes the listener. It fails unless
+// healthz answers 200.
+func serveLoopback(srv *advdiag.Server) (*advdiag.Client, context.Context, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	go httpSrv.Serve(ln) //nolint:errcheck // torn down by stop
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	stop := func() {
+		cancel()
+		httpSrv.Close() //nolint:errcheck // best-effort teardown
+	}
+	client := advdiag.NewClient("http://" + ln.Addr().String())
+	if err := client.Health(ctx); err != nil {
+		stop()
+		return nil, nil, nil, fmt.Errorf("healthz: %w", err)
+	}
+	return client, ctx, stop, nil
+}
+
 // runSmoke is the CI end-to-end: start a real HTTP server on a
 // loopback port, submit a batch through the client, and require every
 // returned PanelResult fingerprint to be byte-identical to the same
@@ -247,20 +276,11 @@ func runSmoke(w *os.File, targets []string, patients, shards, workers int, seed 
 	}
 	defer srv.Close() //nolint:errcheck // second close after success path is the fleet sentinel
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, ctx, stop, err := serveLoopback(srv)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // torn down below
-	defer httpSrv.Close()
-
-	client := advdiag.NewClient("http://" + ln.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := client.Health(ctx); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
+	defer stop()
 
 	samples := smokeCohort(targets, patients)
 	remote, err := client.RunPanels(ctx, samples)
@@ -317,34 +337,20 @@ func runDiagSmoke(w *os.File, targets []string, patients, shards, workers int, s
 	if shards < 2 {
 		return fmt.Errorf("diag-smoke needs at least 2 shards (one to kill, one to survive), got %d", shards)
 	}
-	// Three stall confirmations instead of the default two: the live
-	// shards are busy with the failed-over batch, and the wider window
-	// keeps a slow CI runner from convicting a merely loaded shard.
-	p, fleet, srv, err := buildServer(targets, shards, workers, 2*patients, seed, "leastloaded",
-		advdiag.WithServerDiagnoser(advdiag.NewDiagnoser(nil, advdiag.WithDiagStallConfirmations(3))))
+	p, fleet, srv, err := buildServer(targets, shards, workers, 2*patients, seed, "leastloaded")
 	if err != nil {
 		return err
 	}
 	defer srv.Close() //nolint:errcheck // second close after success path is the fleet sentinel
-	srv.Diagnoser().Bind(fleet)
 	if err := fleet.InjectFault(advdiag.Fault{Kind: advdiag.FaultDeadShard, Shard: 0}); err != nil {
 		return fmt.Errorf("inject: %w", err)
 	}
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, ctx, stop, err := serveLoopback(srv)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // torn down below
-	defer httpSrv.Close()
-
-	client := advdiag.NewClient("http://" + ln.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := client.Health(ctx); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
+	defer stop()
 
 	samples := smokeCohort(targets, patients)
 	type batchResult struct {
@@ -450,20 +456,11 @@ func runElasticSmoke(w *os.File, targets []string, patients, shards, workers int
 	}
 	defer srv.Close() //nolint:errcheck // second close after success path is the fleet sentinel
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, ctx, stop, err := serveLoopback(srv)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // torn down below
-	defer httpSrv.Close()
-
-	client := advdiag.NewClient("http://" + ln.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := client.Health(ctx); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
+	defer stop()
 
 	// Shard 1 turns flaky: 4 of every 5 slots stall the job.
 	if err := fleet.InjectFault(advdiag.Fault{Kind: advdiag.FaultFlakyShard, Shard: 1, Severity: 0.8, Period: 5, Seed: seed}); err != nil {
@@ -668,20 +665,11 @@ func runMonitorSmoke(w *os.File, targets []string, campaigns, shards, workers in
 	}
 	defer srv.Close() //nolint:errcheck // second close after success path is the fleet sentinel
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	client, ctx, stop, err := serveLoopback(srv)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // torn down below
-	defer httpSrv.Close()
-
-	client := advdiag.NewClient("http://" + ln.Addr().String())
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
-	defer cancel()
-	if err := client.Health(ctx); err != nil {
-		return fmt.Errorf("healthz: %w", err)
-	}
+	defer stop()
 
 	ms, err := advdiag.NewMonitorScheduler(client.MonitorBackend(ctx), advdiag.WithSchedulerSeed(seed))
 	if err != nil {

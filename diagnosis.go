@@ -59,7 +59,7 @@ type Diagnosis struct {
 	Findings []Finding
 	// History is the fleet's lifecycle timeline, oldest first: shards
 	// added and removed, quarantines, probe transitions, automatic
-	// restores (see Fleet.Events). Empty for a fleetless diagnoser.
+	// restores (see Fleet.Events).
 	History []FleetEvent
 }
 
@@ -125,17 +125,17 @@ type estKey struct {
 type estRing struct {
 	vals []float64
 	next int
-	full bool
 }
 
-func (r *estRing) push(v float64, cap int) {
-	if len(r.vals) < cap {
+// push records one ratio, overwriting the oldest once the ring holds
+// 4×diagMinEstimates.
+func (r *estRing) push(v float64) {
+	if len(r.vals) < 4*diagMinEstimates {
 		r.vals = append(r.vals, v)
 		return
 	}
 	r.vals[r.next] = v
 	r.next = (r.next + 1) % len(r.vals)
-	r.full = true
 }
 
 // stats returns the ring's sample count, mean, and relative standard
@@ -170,13 +170,34 @@ func (r *estRing) stats() (n int, mean, relStd float64) {
 // lets two-shard fleets tell WHICH side of a disagreement is sick.
 const diagNoiseRatio = 2.5
 
+// The diagnoser's fixed thresholds.
+const (
+	// diagWindow bounds how many stats snapshots the diagnoser keeps;
+	// rate anomalies are judged over this window.
+	diagWindow = 8
+	// diagMinEstimates is how many recovery-ratio samples a (shard,
+	// target) stream needs before it takes part in fouling comparison.
+	diagMinEstimates = 12
+	// diagFoulingThreshold is the relative deviation of a shard's mean
+	// recovery ratio from its siblings' that convicts a fouled sensor —
+	// a 15% estimate drift.
+	diagFoulingThreshold = 0.15
+	// diagStallConfirmations is how many consecutive no-progress
+	// observation intervals convict a stalled shard — four snapshots
+	// with backlog and a frozen completion counter. A live shard busy
+	// with a coalesced batch records no completion until the whole
+	// batch ends, so two intervals can misread it as stalled.
+	diagStallConfirmations = 3
+)
+
 // Diagnoser is the automated root-cause layer over a served fleet: it
 // ingests periodic stats snapshots (Observe) and per-panel results
 // (ObservePanel), and Diagnose classifies what it saw — sensor fouling
 // by cross-shard estimate comparison, shard stalls by completion
 // counters frozen under backlog, queue saturation by load-shed
 // counters, wire errors by boundary rejections, drain by the server's
-// own flag — optionally quarantining shards it convicts.
+// own flag — and quarantines the shards it convicts of fouling or
+// stalling.
 //
 // All state is in-memory and all verdicts derive from counter deltas
 // and recorded estimates, never wall-clock time, so the same traffic
@@ -184,12 +205,15 @@ const diagNoiseRatio = 2.5
 // concurrent use; Quarantine calls happen outside its lock, so shard
 // workers feeding ObservePanel never deadlock against it.
 type Diagnoser struct {
-	fleet              *Fleet
-	window             int
-	minEstimates       int
-	foulingThreshold   float64
-	stallConfirmations int
-	autoQuarantine     bool
+	fleet *Fleet
+	// recalTrigger, when set, is called (outside d.mu) with the target
+	// of each fresh sensor-fouling conviction — once per shard and
+	// target: re-diagnosing a standing conviction does not re-fire, and
+	// a restored shard's convictions are forgotten. NewServer sets it,
+	// before the diagnoser is shared, to the attached MonitorScheduler's
+	// ForceRecal, so a fouling verdict recalibrates the affected
+	// campaigns instead of only rerouting.
+	recalTrigger func(target string) int
 
 	mu        sync.Mutex
 	snaps     []diagSnapshot
@@ -199,99 +223,17 @@ type Diagnoser struct {
 	// recalibration, not one per Diagnose call. Cleared when the shard
 	// is restored.
 	recalled map[estKey]bool
-	// recalTrigger, when set, is called (outside d.mu) with the target
-	// of each fresh sensor-fouling conviction — the hook a Server wires
-	// to MonitorScheduler.ForceRecal so a fouling verdict recalibrates
-	// the affected campaigns instead of only rerouting.
-	recalTrigger func(target string) int
 }
 
-// DiagOption customizes a Diagnoser.
-type DiagOption func(*Diagnoser)
-
-// WithDiagWindow bounds how many stats snapshots the diagnoser keeps
-// (default 8). Rate anomalies are judged over this window.
-func WithDiagWindow(n int) DiagOption {
-	return func(d *Diagnoser) { d.window = n }
-}
-
-// WithDiagMinEstimates sets how many recovery-ratio samples a (shard,
-// target) stream needs before it participates in fouling comparison
-// (default 12). Lower values react faster but trust smaller samples.
-func WithDiagMinEstimates(n int) DiagOption {
-	return func(d *Diagnoser) { d.minEstimates = n }
-}
-
-// WithDiagFoulingThreshold sets the relative deviation of a shard's
-// mean recovery ratio from its siblings' that convicts a fouled sensor
-// (default 0.15 — a 15% estimate drift).
-func WithDiagFoulingThreshold(t float64) DiagOption {
-	return func(d *Diagnoser) { d.foulingThreshold = t }
-}
-
-// WithDiagStallConfirmations sets how many consecutive no-progress
-// observation intervals convict a stalled shard (default 2 — i.e.
-// three snapshots with backlog and a frozen completion counter).
-func WithDiagStallConfirmations(n int) DiagOption {
-	return func(d *Diagnoser) { d.stallConfirmations = n }
-}
-
-// WithDiagAutoQuarantine controls whether Diagnose quarantines shards
-// it convicts of fouling or stalling (default true). With it off the
-// diagnoser only reports; quarantine stays an operator decision.
-func WithDiagAutoQuarantine(on bool) DiagOption {
-	return func(d *Diagnoser) { d.autoQuarantine = on }
-}
-
-// NewDiagnoser builds a diagnoser over a fleet. A nil fleet is allowed
-// — the diagnoser then only classifies (it cannot quarantine), which
-// is how a remote client can re-run diagnosis over downloaded stats.
-func NewDiagnoser(f *Fleet, opts ...DiagOption) *Diagnoser {
-	d := &Diagnoser{
-		fleet:              f,
-		window:             8,
-		minEstimates:       12,
-		foulingThreshold:   0.15,
-		stallConfirmations: 2,
-		autoQuarantine:     true,
-		estimates:          map[estKey]*estRing{},
-		recalled:           map[estKey]bool{},
+// NewDiagnoser builds a diagnoser over a fleet, which must not be nil:
+// the fleet is what Diagnose quarantines convicted shards on. A Server
+// builds its own (see Server.Diagnoser).
+func NewDiagnoser(f *Fleet) *Diagnoser {
+	return &Diagnoser{
+		fleet:     f,
+		estimates: map[estKey]*estRing{},
+		recalled:  map[estKey]bool{},
 	}
-	for _, opt := range opts {
-		opt(d)
-	}
-	if d.window < 2 {
-		d.window = 2
-	}
-	if d.minEstimates < 2 {
-		d.minEstimates = 2
-	}
-	if d.stallConfirmations < 1 {
-		d.stallConfirmations = 1
-	}
-	return d
-}
-
-// Bind attaches the fleet the diagnoser acts on. It exists for the
-// construction-order knot a customized server ties: WithServerDiagnoser
-// needs the diagnoser before NewServer runs, but the fleet the
-// diagnoser should quarantine may not exist until then. Call it once,
-// before traffic; a nil-fleet diagnoser classifies but cannot act.
-func (d *Diagnoser) Bind(f *Fleet) {
-	d.fleet = f
-}
-
-// SetRecalTrigger installs the forced-recalibration hook: fn is called
-// with the implicated target once per fresh sensor-fouling conviction
-// (per shard and target — re-diagnosing the same standing conviction
-// does not re-fire, and a restored shard's convictions are forgotten).
-// The Server wires this to an attached MonitorScheduler's ForceRecal;
-// fn runs outside the diagnoser's lock and returns how many campaigns
-// it flagged.
-func (d *Diagnoser) SetRecalTrigger(fn func(target string) int) {
-	d.mu.Lock()
-	d.recalTrigger = fn
-	d.mu.Unlock()
 }
 
 // Observe ingests one stats snapshot. Call it at whatever cadence the
@@ -338,8 +280,8 @@ func (d *Diagnoser) Observe(st ServerStats) {
 		}
 	}
 	d.snaps = append(d.snaps, snap)
-	if len(d.snaps) > d.window {
-		d.snaps = d.snaps[len(d.snaps)-d.window:]
+	if len(d.snaps) > diagWindow {
+		d.snaps = d.snaps[len(d.snaps)-diagWindow:]
 	}
 	d.mu.Unlock()
 }
@@ -353,7 +295,6 @@ func (d *Diagnoser) ObservePanel(o PanelOutcome) {
 	if o.Err != nil || o.Shard < 0 {
 		return
 	}
-	cap := 4 * d.minEstimates
 	d.mu.Lock()
 	for _, r := range o.Result.Readings {
 		if r.TrueMM <= 0 || math.IsNaN(r.EstimatedMM) || math.IsInf(r.EstimatedMM, 0) {
@@ -365,16 +306,16 @@ func (d *Diagnoser) ObservePanel(o PanelOutcome) {
 			ring = &estRing{}
 			d.estimates[k] = ring
 		}
-		ring.push(r.EstimatedMM/r.TrueMM, cap)
+		ring.push(r.EstimatedMM / r.TrueMM)
 	}
 	d.mu.Unlock()
 }
 
 // Diagnose classifies everything observed so far and returns the
-// verdict. When auto-quarantine is on and a shard is convicted of
-// fouling or stalling, Diagnose quarantines it (rerouting its backlog
-// to siblings) before returning; the conviction's finding carries
-// Quarantined=true. Quarantine calls run outside the diagnoser's lock.
+// verdict. A shard convicted of fouling or stalling is quarantined
+// (its backlog rerouted to siblings) before Diagnose returns; the
+// conviction's finding carries Quarantined=true. Quarantine calls run
+// outside the diagnoser's lock.
 func (d *Diagnoser) Diagnose() Diagnosis {
 	d.mu.Lock()
 	findings := append(d.foulingFindingsLocked(), d.rateFindingsLocked()...)
@@ -386,10 +327,8 @@ func (d *Diagnoser) Diagnose() Diagnosis {
 	// Execute convictions without holding d.mu: Quarantine can block on
 	// sibling queues whose drain path feeds ObservePanel.
 	quarantined := map[int]bool{}
-	if d.fleet != nil {
-		for _, q := range d.fleet.Quarantined() {
-			quarantined[q] = true
-		}
+	for _, q := range d.fleet.Quarantined() {
+		quarantined[q] = true
 	}
 	for i := range findings {
 		f := &findings[i]
@@ -398,9 +337,6 @@ func (d *Diagnoser) Diagnose() Diagnosis {
 		}
 		if quarantined[f.Shard] {
 			f.Quarantined = true
-			continue
-		}
-		if !d.autoQuarantine || d.fleet == nil {
 			continue
 		}
 		if f.Class != ClassSensorFouling && f.Class != ClassShardStall {
@@ -415,9 +351,8 @@ func (d *Diagnoser) Diagnose() Diagnosis {
 	// Feed fresh fouling convictions to the recalibration trigger (also
 	// outside d.mu — the trigger takes the scheduler's lock).
 	d.mu.Lock()
-	trigger := d.recalTrigger
 	var recalTargets []string
-	if trigger != nil {
+	if d.recalTrigger != nil {
 		for _, f := range findings {
 			if f.Class != ClassSensorFouling || f.Shard < 0 || f.Target == "" {
 				continue
@@ -431,28 +366,15 @@ func (d *Diagnoser) Diagnose() Diagnosis {
 	}
 	d.mu.Unlock()
 	for _, t := range recalTargets {
-		trigger(t)
+		d.recalTrigger(t)
 	}
 
 	out := Diagnosis{Status: StatusHealthy, Snapshots: snapshots, Findings: findings}
 	if len(findings) > 0 {
 		out.Status = StatusDegraded
 	}
-	if d.fleet != nil {
-		out.History = d.fleet.Events()
-	}
-	if d.fleet != nil {
-		out.QuarantinedShards = d.fleet.Quarantined()
-	} else if snapshots > 0 {
-		d.mu.Lock()
-		last := d.snaps[len(d.snaps)-1]
-		for i, sh := range last.shards {
-			if sh.quarantined {
-				out.QuarantinedShards = append(out.QuarantinedShards, i)
-			}
-		}
-		d.mu.Unlock()
-	}
+	out.History = d.fleet.Events()
+	out.QuarantinedShards = d.fleet.Quarantined()
 	return out
 }
 
@@ -472,7 +394,7 @@ func (d *Diagnoser) foulingFindingsLocked() []Finding {
 	byTarget := map[string][]obs{}
 	for k, ring := range d.estimates {
 		n, mean, relStd := ring.stats()
-		if n < d.minEstimates {
+		if n < diagMinEstimates {
 			continue
 		}
 		byTarget[k.target] = append(byTarget[k.target], obs{shard: k.shard, mean: mean, relStd: relStd})
@@ -507,7 +429,7 @@ func (d *Diagnoser) foulingFindingsLocked() []Finding {
 				continue
 			}
 			dev := math.Abs(o.mean-ref) / math.Abs(ref)
-			if dev <= d.foulingThreshold {
+			if dev <= diagFoulingThreshold {
 				continue
 			}
 			if o.relStd < diagNoiseRatio*math.Max(minRel, 1e-9) {
@@ -557,7 +479,7 @@ func (d *Diagnoser) rateFindingsLocked() []Finding {
 			}
 			break
 		}
-		if confirm < d.stallConfirmations {
+		if confirm < diagStallConfirmations {
 			continue
 		}
 		stalled = true

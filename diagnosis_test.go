@@ -15,8 +15,9 @@ import (
 // newDiagServer stands up a fleet over n shards of the shared test
 // platform behind an advdiag.Server and an httptest front end,
 // returning the pieces the diagnosis scenarios need (including the
-// base URL, which the malformed-wire client targets directly).
-func newDiagServer(t *testing.T, shards int, fopts []advdiag.FleetOption, sopts ...advdiag.ServerOption) (*advdiag.Server, *advdiag.Client, string) {
+// base URL, which the malformed-wire client targets directly). The
+// faults are armed before the server takes any traffic.
+func newDiagServer(t *testing.T, shards int, fopts []advdiag.FleetOption, faults ...advdiag.Fault) (*advdiag.Server, *advdiag.Client, string) {
 	t.Helper()
 	p, err := servePlatform()
 	if err != nil {
@@ -30,7 +31,8 @@ func newDiagServer(t *testing.T, shards int, fopts []advdiag.FleetOption, sopts 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := advdiag.NewServer(fleet, sopts...)
+	injectFaults(t, fleet, faults...)
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,20 +97,15 @@ func TestDiagnosisHealthyFleet(t *testing.T) {
 }
 
 // TestDiagnosisFouledElectrode is the sensor-level scenario: one shard
-// of two runs with a fouled glucose electrode (injected at fleet
-// construction), a fixed-concentration QC cohort flows through the
+// of two runs with a fouled glucose electrode (injected before any
+// traffic), a fixed-concentration QC cohort flows through the
 // wire, and GET /v1/diagnosis must convict exactly that shard for
 // exactly that target — and quarantine it.
 func TestDiagnosisFouledElectrode(t *testing.T) {
 	const sick = 1
 	_, client, _ := newDiagServer(t, 2,
-		[]advdiag.FleetOption{
-			advdiag.WithFleetWorkers(2),
-			advdiag.WithFleetQueueDepth(64),
-			advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-				{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7},
-			}}),
-		})
+		[]advdiag.FleetOption{advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(64)},
+		advdiag.Fault{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7})
 	ctx := context.Background()
 
 	outs, err := client.RunPanels(ctx, glucoseCohort(64))
@@ -184,19 +181,12 @@ func TestDiagnosisDeadShardStall(t *testing.T) {
 	}
 	fleet, err := advdiag.NewFleet([]*advdiag.Platform{p, p},
 		advdiag.WithFleetWorkers(1),
-		advdiag.WithFleetQueueDepth(16),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultDeadShard, Shard: 0},
-		}}))
+		advdiag.WithFleetQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Three confirmations instead of two: shard 1 is actively chewing
-	// through its half of the batch, and the wider window makes a
-	// spurious conviction of the live shard impossible even on a slow
-	// -race runner.
-	srv, err := advdiag.NewServer(fleet,
-		advdiag.WithServerDiagnoser(advdiag.NewDiagnoser(fleet, advdiag.WithDiagStallConfirmations(3))))
+	injectFaults(t, fleet, advdiag.Fault{Kind: advdiag.FaultDeadShard, Shard: 0})
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,13 +280,8 @@ func TestDiagnosisQueueSaturation(t *testing.T) {
 	// it a warm panel can drain faster than concurrent submissions
 	// arrive and the test would race the worker.
 	srv, client, _ := newDiagServer(t, 1,
-		[]advdiag.FleetOption{
-			advdiag.WithFleetWorkers(1),
-			advdiag.WithFleetQueueDepth(1),
-			advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-				{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 20 * time.Millisecond},
-			}}),
-		})
+		[]advdiag.FleetOption{advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(1)},
+		advdiag.Fault{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 20 * time.Millisecond})
 	ctx := context.Background()
 
 	if _, err := client.Diagnosis(ctx); err != nil { // baseline snapshot
@@ -459,13 +444,11 @@ func TestFleetClearFaultsReleasesParked(t *testing.T) {
 
 	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2),
 		advdiag.WithFleetWorkers(1),
-		advdiag.WithFleetQueueDepth(16),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultDeadShard, Shard: 0},
-		}}))
+		advdiag.WithFleetQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	injectFaults(t, fleet, advdiag.Fault{Kind: advdiag.FaultDeadShard, Shard: 0})
 	got := make([]uint64, len(samples))
 	collected := make(chan struct{})
 	go func() {
@@ -554,10 +537,15 @@ func TestFleetStatsMidDrain(t *testing.T) {
 }
 
 // TestDiagnoserEdgeCases: the diagnoser must stay sane on degenerate
-// input — no fleet, no shards, no traffic.
+// input — no shards in the snapshots, no traffic.
 func TestDiagnoserEdgeCases(t *testing.T) {
-	d := advdiag.NewDiagnoser(nil)
-	if got := d.Diagnose(); got.Status != advdiag.StatusHealthy || got.Snapshots != 0 {
+	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close() //nolint:errcheck // nothing submitted
+	d := advdiag.NewDiagnoser(fleet)
+	if got := d.Diagnose(); got.Status != advdiag.StatusHealthy || got.Snapshots != 0 || len(got.QuarantinedShards) != 0 {
 		t.Fatalf("virgin diagnoser: %+v", got)
 	}
 	d.Observe(advdiag.ServerStats{}) // zero-shard snapshot
@@ -567,13 +555,13 @@ func TestDiagnoserEdgeCases(t *testing.T) {
 		t.Fatalf("zero-shard snapshots produced %+v", got)
 	}
 
-	// A nil-fleet diagnoser still classifies; it just cannot act.
-	d2 := advdiag.NewDiagnoser(nil)
+	// Drain is a fleet-wide finding: classified, nothing quarantined.
+	d2 := advdiag.NewDiagnoser(fleet)
 	d2.Observe(advdiag.ServerStats{FleetStats: advdiag.FleetStats{}, Draining: true})
 	got2 := d2.Diagnose()
 	f, ok := findByClass(got2, advdiag.ClassDrain)
-	if !ok || f.Quarantined {
-		t.Fatalf("nil-fleet drain classification: %+v", got2)
+	if !ok || f.Quarantined || len(got2.QuarantinedShards) != 0 {
+		t.Fatalf("drain classification: %+v", got2)
 	}
 }
 
@@ -591,14 +579,12 @@ func TestDiagnosisRestoreResetsEstimates(t *testing.T) {
 	}
 	fleet, err := advdiag.NewFleet([]*advdiag.Platform{p, p},
 		advdiag.WithFleetWorkers(2),
-		advdiag.WithFleetQueueDepth(64),
-		advdiag.WithFleetProbePolicy(2, 2),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7},
-		}}))
+		advdiag.WithFleetQueueDepth(64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	injectFaults(t, fleet,
+		advdiag.Fault{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7})
 	// An attached scheduler makes the conviction also flag a forced
 	// recalibration — the restore below must clear that once-only
 	// latch along with the estimates.
@@ -612,12 +598,11 @@ func TestDiagnosisRestoreResetsEstimates(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := advdiag.NewServer(fleet,
-		advdiag.WithServerDiagnoser(advdiag.NewDiagnoser(fleet)),
-		advdiag.WithServerScheduler(ms))
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.AttachScheduler(ms)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

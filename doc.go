@@ -185,9 +185,8 @@
 //	│ FaultPlan ▸ InjectFault ▸ ClearFaults    │
 //	└──────────────────────────────────────────┘
 //
-// Faults are first-class and deterministic. A FaultPlan armed at
-// construction (WithFleetFaultPlan) or injected live (InjectFault)
-// perturbs exactly what its seed says: a FaultFouledElectrode draws
+// Faults are first-class and deterministic. A fault injected with
+// InjectFault, or a whole FaultPlan with InjectFaults, perturbs exactly what its seed says: a FaultFouledElectrode draws
 // its per-panel sensitivity loss and noise from (fault seed, sample
 // seed, target) inside internal/runtime, so two fleets with the same
 // plan and traffic fail identically — which is what makes every
@@ -241,9 +240,9 @@
 //	                                                │ probes only  │
 //	                                                └──────────────┘
 //
-// A convicted-then-cleared shard therefore restores itself: once
-// ClearFaults heals the hardware, restoreThreshold consecutive
-// known-good probes close the breaker with no manual un-quarantine
+// Both thresholds are 3. A convicted-then-cleared shard therefore
+// restores itself: once ClearFaults heals the hardware, three
+// consecutive known-good probes close the breaker with no manual un-quarantine
 // call. (A flaky fault deliberately persists through quarantine so
 // the breaker keeps seeing it; dead, fouled and slow faults are
 // lifted at quarantine so stragglers complete healthy.) Every

@@ -124,9 +124,9 @@ func (ft Fault) Validate(shards int) error {
 
 // FaultPlan is a replayable set of faults: inject the same plan into
 // two fleets with the same traffic and the failures — and therefore the
-// diagnoses — are identical. Arm it at construction with
-// WithFleetFaultPlan or at run time with Fleet.InjectFaults; a fleet
-// with no plan pays one atomic nil-check per job.
+// diagnoses — are identical. Arm it with Fleet.InjectFaults (right
+// after NewFleet, before any traffic, for a fleet that starts life
+// sick); a fleet with no plan pays one atomic nil-check per job.
 type FaultPlan struct {
 	Faults []Fault
 }

@@ -72,13 +72,6 @@ type Fleet struct {
 	seed    uint64
 	workers int
 	depth   int
-	// failThreshold / restoreThreshold are the circuit breaker's
-	// consecutive-probe counts: that many probe failures in a row open a
-	// healthy shard's breaker, that many known-good probes in a row
-	// close a quarantined shard's breaker and restore it. Immutable
-	// after construction (see WithFleetProbePolicy).
-	failThreshold    int
-	restoreThreshold int
 	// probeSeed seeds every probe panel. Probes live outside the
 	// submission-index seed sequence, so probing never perturbs serving
 	// results.
@@ -100,7 +93,6 @@ type Fleet struct {
 	msubmitted int
 	mcompleted int
 	mrejected  uint64
-	faultPlan  *FaultPlan
 	closed     bool
 	submitWG   sync.WaitGroup // Submits between closed-check and enqueue
 	first      time.Time
@@ -230,38 +222,12 @@ func WithFleetQueueDepth(n int) FleetOption {
 	return func(f *Fleet) { f.depth = n }
 }
 
-// WithFleetSeed sets the base noise seed per-sample streams derive
-// from (default: the first platform's seed). A Lab with the same seed
-// over the same platform produces byte-identical results.
-func WithFleetSeed(seed uint64) FleetOption {
-	return func(f *Fleet) { f.seed = seed }
-}
-
-// WithFleetFaultPlan arms a replayable fault plan at construction —
-// the fleet starts life already degraded, which is how the scenario
-// tests create a sick shard on purpose. See FaultPlan and
-// Fleet.InjectFaults.
-func WithFleetFaultPlan(plan FaultPlan) FleetOption {
-	return func(f *Fleet) { f.faultPlan = &plan }
-}
-
-// WithFleetProbePolicy sets the circuit breaker's consecutive-probe
-// thresholds: a healthy shard's breaker opens (quarantining it) after
-// failures probe failures in a row, and a quarantined shard is
-// restored after restores consecutive probe panels matching its
-// known-good fingerprint. Both default to 3; values below 1 clamp
-// to 1. See Fleet.ProbeShards.
-func WithFleetProbePolicy(failures, restores int) FleetOption {
-	return func(f *Fleet) {
-		f.failThreshold = failures
-		f.restoreThreshold = restores
-	}
-}
-
 // NewFleet builds a dispatcher over the given designed platforms (one
 // shard each — they may serve different target panels) and starts the
 // shard workers. Every shard's calibration cache is warmed here, so
-// the serving path only ever reads it.
+// the serving path only ever reads it. The noise seed per-sample
+// streams derive from is the first platform's, so a Lab over that
+// platform produces byte-identical results.
 func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 	if len(platforms) == 0 {
 		return nil, fmt.Errorf("advdiag: NewFleet needs at least one platform")
@@ -271,8 +237,7 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 			return nil, fmt.Errorf("advdiag: NewFleet shard %d: platform is not designed", i)
 		}
 	}
-	f := &Fleet{router: LeastLoadedRouter{}, seed: platforms[0].seed, workers: 1,
-		failThreshold: 3, restoreThreshold: 3}
+	f := &Fleet{router: LeastLoadedRouter{}, seed: platforms[0].seed, workers: 1}
 	for _, opt := range opts {
 		opt(f)
 	}
@@ -284,12 +249,6 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 	}
 	if f.router == nil {
 		f.router = LeastLoadedRouter{}
-	}
-	if f.failThreshold < 1 {
-		f.failThreshold = 1
-	}
-	if f.restoreThreshold < 1 {
-		f.restoreThreshold = 1
 	}
 	f.probeSeed = mathx.Mix64(f.seed ^ mathx.SplitmixGamma)
 	f.cond = sync.NewCond(&f.mu)
@@ -318,12 +277,6 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 		for w := 0; w < f.workers; w++ {
 			f.workWG.Add(1)
 			go f.shardWorker(sh)
-		}
-	}
-	if f.faultPlan != nil {
-		if err := f.InjectFaults(*f.faultPlan); err != nil {
-			f.Close() //nolint:errcheck // construction bail-out
-			return nil, err
 		}
 	}
 	return f, nil

@@ -297,10 +297,11 @@ func TestFleetReplayPanel(t *testing.T) {
 // TestFleetBreakerLifecycle walks the whole state machine with
 // deterministic probe stepping: closed → (probe failures) → open +
 // quarantined → (fault cleared, known-good probes) → half-open →
-// restored, with the history narrating each transition.
+// restored, with the history narrating each transition. Three probe
+// failures in a row open the breaker; three known-good probes in a row
+// restore the shard.
 func TestFleetBreakerLifecycle(t *testing.T) {
-	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2),
-		advdiag.WithFleetProbePolicy(2, 2))
+	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,17 +338,17 @@ func TestFleetBreakerLifecycle(t *testing.T) {
 				restoredAt = sweep
 			}
 		}
-		if restoredAt < 0 && sweep == 0 {
-			// After one good probe the breaker must be half-open, not yet
-			// closed: restore takes two consecutive matches.
+		if restoredAt < 0 && sweep < 2 {
+			// After one or two good probes the breaker must be half-open,
+			// not yet closed: restore takes three consecutive matches.
 			mid := fleet.Stats()
 			if mid.Shards[1].Breaker != advdiag.BreakerHalfOpen {
 				t.Fatalf("breaker after one good probe: %v", mid.Shards[1].Breaker)
 			}
 		}
 	}
-	if restoredAt != 1 {
-		t.Fatalf("restored after sweep %d, want 1 (two consecutive known-good probes)", restoredAt)
+	if restoredAt != 2 {
+		t.Fatalf("restored after sweep %d, want 2 (three consecutive known-good probes)", restoredAt)
 	}
 	st = fleet.Stats()
 	if st.Shards[1].Quarantined || st.Shards[1].Breaker != advdiag.BreakerClosed || st.Shards[1].Restores != 1 {
@@ -370,14 +371,21 @@ func TestFleetBreakerLifecycle(t *testing.T) {
 	}
 
 	kinds := map[string]int{}
+	tripped := false
 	for _, e := range fleet.Events() {
 		kinds[e.Kind]++
 		if e.At.IsZero() {
 			t.Fatalf("event %+v has no timestamp", e)
 		}
+		if e.Kind == advdiag.EventProbed && e.Detail == "probe failure 3/3" {
+			tripped = true
+		}
 	}
 	if kinds[advdiag.EventQuarantined] != 1 || kinds[advdiag.EventRestored] != 1 || kinds[advdiag.EventProbed] == 0 {
 		t.Fatalf("history does not narrate the lifecycle: %v", kinds)
+	}
+	if !tripped {
+		t.Fatal("history has no third consecutive probe failure before the trip")
 	}
 	if err := fleet.Close(); err != nil {
 		t.Fatal(err)
@@ -389,8 +397,7 @@ func TestFleetBreakerLifecycle(t *testing.T) {
 // by probe sweeps once healthy. Quarantine is one state however it was
 // entered; this is what closes the convicted-then-cleared loop.
 func TestFleetOperatorQuarantineIsProbeRestorable(t *testing.T) {
-	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2),
-		advdiag.WithFleetProbePolicy(1, 1))
+	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,14 +419,14 @@ func TestFleetOperatorQuarantineIsProbeRestorable(t *testing.T) {
 // TestFleetStartHealthProbes: the background sweeper quarantines and
 // restores without any manual stepping; stop is idempotent.
 func TestFleetStartHealthProbes(t *testing.T) {
-	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2),
-		advdiag.WithFleetProbePolicy(2, 2))
+	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop := fleet.StartHealthProbes(time.Millisecond)
-	// One healthy slot per 4-slot cycle: the up-run (1) is shorter than
-	// the restore threshold (2), so background probes can never falsely
+	// One healthy slot per 4-slot cycle: the down-run (3) reaches the
+	// failure threshold (3), and the up-run (1) is shorter than the
+	// restore threshold (3), so background probes can never falsely
 	// restore the shard while the fault persists through quarantine —
 	// only ClearFaults below brings it back.
 	if err := fleet.InjectFault(advdiag.Fault{
@@ -464,8 +471,7 @@ func TestFleetChaosElasticSelfHealing(t *testing.T) {
 
 	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 3),
 		advdiag.WithFleetWorkers(2),
-		advdiag.WithFleetQueueDepth(8),
-		advdiag.WithFleetProbePolicy(2, 2))
+		advdiag.WithFleetQueueDepth(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,8 +594,7 @@ func FuzzShardLifecycle(f *testing.F) {
 			t.Fatal(err)
 		}
 		fleet, err := advdiag.NewFleet([]*advdiag.Platform{p, p},
-			advdiag.WithFleetQueueDepth(4),
-			advdiag.WithFleetProbePolicy(1, 1))
+			advdiag.WithFleetQueueDepth(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -703,13 +708,11 @@ func TestFleetFlakyStallAndRelease(t *testing.T) {
 
 	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 1),
 		advdiag.WithFleetWorkers(1),
-		advdiag.WithFleetQueueDepth(16),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultFlakyShard, Shard: 0, Severity: 0.5, Period: 2, Seed: 3},
-		}}))
+		advdiag.WithFleetQueueDepth(16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	injectFaults(t, fleet, advdiag.Fault{Kind: advdiag.FaultFlakyShard, Shard: 0, Severity: 0.5, Period: 2, Seed: 3})
 	got := make([]uint64, len(samples))
 	collected := make(chan struct{})
 	go func() {

@@ -46,9 +46,10 @@ func waitQueueLen(t *testing.T, f *Fleet, n int) {
 // job, and a requester that leaves during that sleep gets its context
 // error back — the job never runs.
 func TestExecDropsJobAbandonedDuringDelay(t *testing.T) {
-	f, _ := newExecFleet(t, WithFleetFaultPlan(FaultPlan{Faults: []Fault{
-		{Kind: FaultSlowShard, Shard: 0, Delay: 300 * time.Millisecond},
-	}}))
+	f, _ := newExecFleet(t)
+	if err := f.InjectFault(Fault{Kind: FaultSlowShard, Shard: 0, Delay: 300 * time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	got := make(chan PanelOutcome, 1)
@@ -82,9 +83,10 @@ func TestExecDropsJobAbandonedDuringDelay(t *testing.T) {
 // batch's per-panel wall time, and the monitor equals Lab.RunMonitor
 // of the same request.
 func TestExecCoalescedRunEndsInMonitor(t *testing.T) {
-	f, p := newExecFleet(t, WithFleetQueueDepth(16), WithFleetFaultPlan(FaultPlan{Faults: []Fault{
-		{Kind: FaultDeadShard, Shard: 0},
-	}}))
+	f, p := newExecFleet(t, WithFleetQueueDepth(16))
+	if err := f.InjectFault(Fault{Kind: FaultDeadShard, Shard: 0}); err != nil {
+		t.Fatal(err)
+	}
 	samples := make([]Sample, 6)
 	for i := range samples {
 		samples[i] = Sample{ID: fmt.Sprintf("s%d", i), Concentrations: map[string]float64{

@@ -403,6 +403,15 @@ func (f *Fleet) Quarantined() []int {
 // target at — well inside every assay's linear range.
 const probeConcMM = 1.0
 
+// The circuit breaker's consecutive-probe counts: failThreshold probe
+// failures in a row open a healthy shard's breaker, restoreThreshold
+// known-good probes in a row close a quarantined shard's breaker and
+// restore it.
+const (
+	failThreshold    = 3
+	restoreThreshold = 3
+)
+
 // probeBaseline fixes the shard's probe panel (every target at
 // probeConcMM) and records its known-good fingerprint by running it
 // healthy through the platform executor directly — bypassing the Lab
@@ -486,16 +495,16 @@ func (f *Fleet) ProbeShards() []int {
 		case sh.quarantined && healthy:
 			sh.breaker = BreakerHalfOpen
 			sh.probeGoods++
-			if sh.probeGoods >= f.restoreThreshold {
+			if sh.probeGoods >= restoreThreshold {
 				sh.quarantined = false
 				sh.breaker = BreakerClosed
 				sh.probeGoods = 0
 				sh.probeFails = 0
 				sh.restores++
 				restored = append(restored, sh.index)
-				f.recordEventLocked(EventRestored, sh.index, fmt.Sprintf("%d consecutive known-good probes, breaker closed", f.restoreThreshold))
+				f.recordEventLocked(EventRestored, sh.index, fmt.Sprintf("%d consecutive known-good probes, breaker closed", restoreThreshold))
 			} else {
-				f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("known-good probe %d/%d, breaker half-open", sh.probeGoods, f.restoreThreshold))
+				f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("known-good probe %d/%d, breaker half-open", sh.probeGoods, restoreThreshold))
 			}
 		case sh.quarantined: // quarantined, probe failed
 			if sh.breaker == BreakerHalfOpen {
@@ -507,8 +516,8 @@ func (f *Fleet) ProbeShards() []int {
 			sh.probeFails = 0
 		default: // healthy shard, probe failed
 			sh.probeFails++
-			f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("probe failure %d/%d", sh.probeFails, f.failThreshold))
-			if sh.probeFails >= f.failThreshold {
+			f.recordEventLocked(EventProbed, sh.index, fmt.Sprintf("probe failure %d/%d", sh.probeFails, failThreshold))
+			if sh.probeFails >= failThreshold {
 				trip = append(trip, sh.index)
 			}
 		}

@@ -26,12 +26,6 @@ type ExploreOptions struct {
 	// enumeration: results are collected in enumeration order before
 	// deduplication and sorting.
 	Workers int
-	// Budget caps how many enumerated choices are evaluated, taken in
-	// deterministic enumeration order; 0 means the whole space.
-	Budget int
-	// TopK truncates the sorted candidate list to its best K entries;
-	// 0 keeps every candidate.
-	TopK int
 }
 
 // withDefaults resolves the zero-value knobs.
@@ -79,34 +73,21 @@ func ExploreWith(req Requirements, opts ExploreOptions) ([]*Candidate, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	return runExplore(req, enumerateChoices(req, opts.Budget), opts)
+	return runExplore(req, enumerateChoices(req), opts)
 }
 
 // enumerateChoices lists the structural design space in deterministic
 // order: probe assignment × isoform grouping × chamber policy ×
-// readout sharing. budget > 0 stops the enumeration after that many
-// choices — the result is the exact prefix of the unbounded
-// enumeration, without materializing the rest of the space.
-func enumerateChoices(req Requirements, budget int) []Choice {
+// readout sharing.
+func enumerateChoices(req Requirements) []Choice {
 	// Each assignment expands into 2 groupings × 3 chambers × 2
-	// sharings, so only ⌈budget/12⌉ assignments can be reached.
-	assignCap := 0
-	if budget > 0 {
-		assignCap = (budget + 11) / 12
-	}
-	assignments := enumerateAssays(req.Targets, assignCap)
-	size := 12 * len(assignments)
-	if budget > 0 && budget < size {
-		size = budget
-	}
-	out := make([]Choice, 0, size)
+	// sharings.
+	assignments := enumerateAssays(req.Targets)
+	out := make([]Choice, 0, 12*len(assignments))
 	for _, asn := range assignments {
 		for _, group := range []bool{true, false} {
 			for _, chambers := range []ChamberPolicy{SharedChamber, ChamberPerTechnique, ChamberPerElectrode} {
 				for _, sharing := range []ReadoutSharing{SharedMux, DedicatedChains} {
-					if budget > 0 && len(out) == budget {
-						return out
-					}
 					out = append(out, Choice{Assays: asn, GroupSameIsoform: group, Chambers: chambers, Sharing: sharing})
 				}
 			}
@@ -154,8 +135,7 @@ type memoEntry struct {
 
 // runExplore evaluates the given choices on a bounded worker pool and
 // assembles the deterministic candidate list. req must already carry
-// its defaults; opts.Budget has already been applied by the
-// enumeration, so only Workers and TopK are consumed here.
+// its defaults.
 func runExplore(req Requirements, choices []Choice, opts ExploreOptions) ([]*Candidate, error) {
 	opts = opts.withDefaults()
 
@@ -225,9 +205,6 @@ func runExplore(req Requirements, choices []Choice, opts ExploreOptions) ([]*Can
 		}
 		return a.PanelTime < b.PanelTime
 	})
-	if opts.TopK > 0 && len(out) > opts.TopK {
-		out = out[:opts.TopK]
-	}
 	return out, errors.Join(errs...)
 }
 
@@ -254,12 +231,8 @@ func BestWith(req Requirements, opts ExploreOptions) (*Candidate, error) {
 }
 
 // enumerateAssays builds the cartesian product of per-target probe
-// options. limit > 0 truncates every intermediate level to limit entries,
-// which preserves the exact prefix of the unbounded product (each
-// level's first limit elements derive only from the previous level's
-// first limit) while keeping memory proportional to limit rather than the
-// full product.
-func enumerateAssays(targets []TargetSpec, limit int) []map[string]enzyme.Assay {
+// options.
+func enumerateAssays(targets []TargetSpec) []map[string]enzyme.Assay {
 	result := []map[string]enzyme.Assay{{}}
 	for _, t := range targets {
 		options := enzyme.AssaysFor(t.Species)
@@ -272,9 +245,6 @@ func enumerateAssays(targets []TargetSpec, limit int) []map[string]enzyme.Assay 
 			// irrelevant). Single-option targets then build the whole
 			// product copy-free.
 			for oi, opt := range options {
-				if limit > 0 && len(next) == limit {
-					break
-				}
 				m := partial
 				if oi > 0 {
 					m = make(map[string]enzyme.Assay, len(partial)+1)

@@ -16,7 +16,7 @@ func serialExplore(req Requirements) ([]*Candidate, []error) {
 	req = req.WithDefaults()
 	var out []*Candidate
 	var errs []error
-	for _, choice := range enumerateChoices(req, 0) {
+	for _, choice := range enumerateChoices(req) {
 		cand, err := Evaluate(req, choice)
 		if err != nil {
 			errs = append(errs, err)
@@ -58,7 +58,7 @@ func TestExploreCollectsChoiceErrors(t *testing.T) {
 	req := Requirements{Targets: []TargetSpec{
 		{Species: "glucose"}, {Species: "lactate"},
 	}}.WithDefaults()
-	choices := enumerateChoices(req, 0)
+	choices := enumerateChoices(req)
 	// Poison the enumeration with a choice that cannot be planned: it
 	// assigns no assay to lactate.
 	poisoned := Choice{
@@ -91,59 +91,6 @@ func TestEvaluateRejectsMissingAssay(t *testing.T) {
 	_, err := Evaluate(req, Choice{Assays: map[string]enzyme.Assay{}})
 	if err == nil {
 		t.Fatal("evaluating a choice with no assay must fail, not panic")
-	}
-}
-
-func TestExploreBudget(t *testing.T) {
-	req := fig4Targets()
-	all := enumerateChoices(req.WithDefaults(), 0)
-	if len(all) < 4 {
-		t.Fatalf("space too small for the test: %d choices", len(all))
-	}
-	budget := 4
-	got, err := ExploreWith(req, ExploreOptions{Budget: budget, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || len(got) > budget {
-		t.Fatalf("budget %d produced %d candidates", budget, len(got))
-	}
-	// A budgeted run must equal the serial evaluation of the first
-	// `budget` enumerated choices.
-	want, err := runExplore(req.WithDefaults(), all[:budget], ExploreOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != len(got) {
-		t.Fatalf("budgeted run: %d candidates, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if candidateFingerprint(want[i]) != candidateFingerprint(got[i]) {
-			t.Fatalf("budgeted candidate %d diverges", i)
-		}
-	}
-}
-
-func TestExploreTopK(t *testing.T) {
-	req := fig4Targets()
-	full, err := Explore(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full) < 3 {
-		t.Fatalf("space too small: %d", len(full))
-	}
-	top, err := ExploreWith(req, ExploreOptions{TopK: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 3 {
-		t.Fatalf("TopK=3 returned %d", len(top))
-	}
-	for i := range top {
-		if candidateFingerprint(top[i]) != candidateFingerprint(full[i]) {
-			t.Fatalf("TopK candidate %d is not the full ranking's head", i)
-		}
 	}
 }
 

@@ -1,9 +1,7 @@
 package advdiag
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"advdiag/internal/analysis"
@@ -69,33 +67,17 @@ type MonitorResult struct {
 // monitor runs are byte-identical exactly when their fingerprints
 // match. The serving layers diff remote and local runs with it.
 func (m *MonitorResult) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	f := func(v float64) { word(math.Float64bits(v)) }
-	series := func(vs []float64) {
-		word(uint64(len(vs)))
-		for _, v := range vs {
-			f(v)
-		}
-	}
-	series(m.TimesSeconds)
-	series(m.CurrentsMicroAmps)
-	f(m.T90Seconds)
-	f(m.TransientSeconds)
-	f(m.BaselineMicroAmps)
-	f(m.SteadyMicroAmps)
-	if m.Settled {
-		word(1)
-	} else {
-		word(0)
-	}
-	f(m.StepMicroAmps)
-	f(m.EstimatedMM)
-	return h.Sum64()
+	h := newFingerprinter()
+	h.series(m.TimesSeconds)
+	h.series(m.CurrentsMicroAmps)
+	h.float(m.T90Seconds)
+	h.float(m.TransientSeconds)
+	h.float(m.BaselineMicroAmps)
+	h.float(m.SteadyMicroAmps)
+	h.flag(m.Settled)
+	h.float(m.StepMicroAmps)
+	h.float(m.EstimatedMM)
+	return uint64(h)
 }
 
 // Monitor runs a continuous chronoamperometric measurement with the

@@ -78,6 +78,37 @@ func TestServerMonitorRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServerGetMonitorEscapesID: campaign IDs holding URL syntax —
+// a slash, a query or fragment marker, a stray percent, a space — read
+// back through GET /v1/monitors/{id} as the outcome stored under that
+// exact ID.
+func TestServerGetMonitorEscapesID(t *testing.T) {
+	_, client := newTestServer(t, 1)
+	ctx := context.Background()
+	for _, id := range []string{"ward-3/bed-7", "a?b", "c#d", "e%zz", "bed 12"} {
+		req := advdiag.MonitorRequest{
+			ID: id, Target: "glucose", ConcentrationMM: 2,
+			DurationSeconds: 6, BaselineSeconds: 2,
+			Seed: advdiag.MonitorSeed(7, id, 0),
+		}
+		out, err := client.RunMonitor(ctx, req)
+		if err != nil {
+			t.Fatalf("%q: %v", id, err)
+		}
+		if out.Err != nil {
+			t.Fatalf("%q: %v", id, out.Err)
+		}
+		got, err := client.GetMonitor(ctx, id)
+		if err != nil {
+			t.Fatalf("GetMonitor(%q): %v", id, err)
+		}
+		if got.ID != id || got.Result.Fingerprint() != out.Result.Fingerprint() {
+			t.Fatalf("GetMonitor(%q) returned campaign %q, fingerprint %016x, want %016x",
+				id, got.ID, got.Result.Fingerprint(), out.Result.Fingerprint())
+		}
+	}
+}
+
 // TestServerMonitorValidation: malformed monitor requests are 400
 // before anything reaches the fleet; CV targets are accepted by
 // validation but fail inside the outcome (the platform has no

@@ -1,10 +1,7 @@
 package advdiag
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"strings"
 
 	"advdiag/internal/core"
@@ -59,13 +56,6 @@ func WithPlatformSeed(seed uint64) PlatformOption {
 // is identical at any worker count — only the wall-clock time changes.
 func WithExploreWorkers(n int) PlatformOption {
 	return func(_ *core.Requirements, p *Platform) { p.explore.Workers = n }
-}
-
-// WithExploreBudget caps how many design points the exploration
-// evaluates (in deterministic enumeration order); 0 explores the whole
-// space.
-func WithExploreBudget(n int) PlatformOption {
-	return func(_ *core.Requirements, p *Platform) { p.explore.Budget = n }
 }
 
 // WithReplicas replicates the full sensor set k times (the paper's §II
@@ -217,26 +207,19 @@ func (pr PanelResult) String() string {
 // tests use this to prove panel results do not depend on the Lab
 // worker count or the Fleet shard count.
 func (pr PanelResult) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	f := func(v float64) { word(math.Float64bits(v)) }
-	str := func(s string) { word(uint64(len(s))); h.Write([]byte(s)) }
-	f(pr.PanelSeconds)
-	word(uint64(len(pr.Readings)))
+	h := newFingerprinter()
+	h.float(pr.PanelSeconds)
+	h.word(uint64(len(pr.Readings)))
 	for _, r := range pr.Readings {
-		str(r.Target)
-		str(r.WE)
-		str(r.Probe)
-		f(r.MeasuredMicroAmps)
-		f(r.EstimatedMM)
-		f(r.TrueMM)
-		f(r.PeakMV)
+		h.str(r.Target)
+		h.str(r.WE)
+		h.str(r.Probe)
+		h.float(r.MeasuredMicroAmps)
+		h.float(r.EstimatedMM)
+		h.float(r.TrueMM)
+		h.float(r.PeakMV)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // RunPanel measures one sample: sample maps target names to

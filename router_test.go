@@ -249,8 +249,7 @@ func TestAffinityRouterQuarantinedCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet, err := advdiag.NewFleet([]*advdiag.Platform{glucose, drug},
-		advdiag.WithFleetRouter(advdiag.AffinityRouter{}),
-		advdiag.WithFleetProbePolicy(1, 1))
+		advdiag.WithFleetRouter(advdiag.AffinityRouter{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,8 +267,14 @@ func TestAffinityRouterQuarantinedCoverage(t *testing.T) {
 	if o := <-fleet.Results(); o.Err != nil || o.Shard != 0 {
 		t.Fatalf("glucose outcome shard %d err %v", o.Shard, o.Err)
 	}
-	// Probe-restore brings the panel type back online.
-	fleet.ProbeShards()
+	// Probe-restore brings the panel type back online, after three
+	// consecutive known-good probes.
+	for sweep := 0; sweep < 3; sweep++ {
+		if !isQuarantined(fleet, 1) {
+			t.Fatalf("shard restored after %d probe sweeps, want 3", sweep)
+		}
+		fleet.ProbeShards()
+	}
 	if err := fleet.Submit(drugSample); err != nil {
 		t.Fatalf("drug panel after restore: %v", err)
 	}

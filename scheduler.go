@@ -2,10 +2,8 @@ package advdiag
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -135,19 +133,13 @@ type CohortReport struct {
 // when their cohort fingerprints match — the scheduler's determinism
 // tests compare it across worker and shard counts.
 func (r *CohortReport) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	word(uint64(len(r.Campaigns)))
+	h := newFingerprinter()
+	h.word(uint64(len(r.Campaigns)))
 	for _, c := range r.Campaigns {
-		word(uint64(len(c.ID)))
-		h.Write([]byte(c.ID))
-		word(c.Fingerprint)
+		h.str(c.ID)
+		h.word(c.Fingerprint)
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // DriftFlagged counts campaigns whose rolling detector fired.
@@ -396,7 +388,7 @@ func (ms *MonitorScheduler) request(sc *schedCampaign) MonitorRequest {
 // ForceRecal flags every unfinished campaign monitoring target for a
 // recalibration at its next acquisition, ahead of the scheduled
 // cadence and regardless of the drift detector. This is the hook the
-// fleet diagnoser pulls (via Diagnoser.SetRecalTrigger) when it
+// Server's diagnoser pulls, for an attached scheduler, when it
 // convicts a shard of sensor fouling on that target: a fouling verdict
 // means the cohort's calibrations for the species are suspect, so the
 // next tick re-measures the clean standard instead of trusting them.
@@ -500,30 +492,20 @@ func (sc *schedCampaign) finish() bool {
 // fingerprint folds the campaign's readings and summary into one
 // 64-bit value (FNV-1a over exact float64 bit patterns).
 func (sc *schedCampaign) fingerprint() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	word := func(u uint64) {
-		binary.LittleEndian.PutUint64(buf[:], u)
-		h.Write(buf[:])
-	}
-	f := func(v float64) { word(math.Float64bits(v)) }
-	word(uint64(len(sc.report.Readings)))
+	h := newFingerprinter()
+	h.word(uint64(len(sc.report.Readings)))
 	for _, r := range sc.report.Readings {
-		f(r.AtHours)
-		f(r.EstimateMM)
-		f(r.ErrorPct)
-		f(r.SinceRecalHours)
+		h.float(r.AtHours)
+		h.float(r.EstimateMM)
+		h.float(r.ErrorPct)
+		h.float(r.SinceRecalHours)
 	}
-	word(uint64(sc.report.Recals))
-	word(uint64(sc.report.DriftRecals))
-	f(sc.report.MaxErrorPct)
-	f(sc.report.FinalErrorPct)
-	if sc.report.DriftFlagged {
-		word(1)
-	} else {
-		word(0)
-	}
-	return h.Sum64()
+	h.word(uint64(sc.report.Recals))
+	h.word(uint64(sc.report.DriftRecals))
+	h.float(sc.report.MaxErrorPct)
+	h.float(sc.report.FinalErrorPct)
+	h.flag(sc.report.DriftFlagged)
+	return uint64(h)
 }
 
 // Run drives the whole cohort to completion and returns its report.

@@ -68,10 +68,6 @@ type Server struct {
 	sched atomic.Pointer[MonitorScheduler]
 	diag  *Diagnoser
 
-	// platformFor designs the platform for a POST /v1/shards request;
-	// by default DesignPlatform over the requested targets and seed.
-	platformFor func(targets []string, seed uint64) (*Platform, error)
-
 	// wireErrs counts payloads refused at the wire boundary (400/413):
 	// the diagnoser's evidence stream for ClassWireErrors.
 	wireErrs atomic.Uint64
@@ -99,74 +95,39 @@ type Server struct {
 // the synchronous POST anyway; the store serves ad-hoc lookups.
 const monitorStoreCap = 4096
 
-// ServerOption customizes a Server.
-type ServerOption func(*Server)
-
-// WithServerScheduler attaches a MonitorScheduler whose stats are
-// merged into GET /v1/stats and whose campaigns a fouling conviction
+// AttachScheduler attaches a MonitorScheduler whose stats are merged
+// into GET /v1/stats and whose campaigns a fouling conviction
 // recalibrates. The scheduler may drive this server remotely (through
 // Client.MonitorBackend) or drive the served fleet in process, through
-// its SubmitMonitor and MonitorResults.
-func WithServerScheduler(ms *MonitorScheduler) ServerOption {
-	return func(s *Server) { s.sched.Store(ms) }
-}
-
-// AttachScheduler is WithServerScheduler after construction, for the
-// common ordering where the scheduler is built over a client of the
-// already-listening server (cmd/labserve's monitor smoke). Safe
-// against concurrent stats requests.
+// its SubmitMonitor and MonitorResults. Safe against concurrent stats
+// requests.
 func (s *Server) AttachScheduler(ms *MonitorScheduler) { s.sched.Store(ms) }
 
-// WithServerDiagnoser substitutes the diagnoser behind GET
-// /v1/diagnosis — e.g. one with custom thresholds, or auto-quarantine
-// turned off. By default NewServer builds NewDiagnoser(fleet) with
-// defaults. The diagnoser must be built over the same fleet (or nil).
-func WithServerDiagnoser(d *Diagnoser) ServerOption {
-	return func(s *Server) { s.diag = d }
-}
-
-// Diagnoser returns the diagnoser serving GET /v1/diagnosis.
+// Diagnoser returns the diagnoser serving GET /v1/diagnosis, built over
+// the served fleet by NewServer.
 func (s *Server) Diagnoser() *Diagnoser { return s.diag }
 
-// WithServerPlatformFactory substitutes the platform designer behind
-// POST /v1/shards — e.g. to pin design options beyond the seed, or to
-// refuse runtime growth entirely by returning an error. By default the
-// server designs with DesignPlatform(targets, WithPlatformSeed(seed)),
-// seed zero meaning the fleet's own seed.
-func WithServerPlatformFactory(fn func(targets []string, seed uint64) (*Platform, error)) ServerOption {
-	return func(s *Server) { s.platformFor = fn }
-}
-
-// NewServer builds the front door over a fleet. Other submitters may
-// keep using the fleet (see the type comment).
-func NewServer(f *Fleet, opts ...ServerOption) (*Server, error) {
+// NewServer builds the front door over a fleet, with its own
+// Diagnoser. Other submitters may keep using the fleet (see the type
+// comment).
+func NewServer(f *Fleet) (*Server, error) {
 	if f == nil {
 		return nil, fmt.Errorf("advdiag: NewServer needs a fleet")
 	}
 	s := &Server{
 		fleet:    f,
+		diag:     NewDiagnoser(f),
 		mlatest:  map[string]MonitorOutcome{},
 		mpending: map[string]int{},
 	}
-	for _, opt := range opts {
-		opt(s)
-	}
-	if s.diag == nil {
-		s.diag = NewDiagnoser(f)
-	}
-	if s.platformFor == nil {
-		s.platformFor = func(targets []string, seed uint64) (*Platform, error) {
-			return DesignPlatform(targets, WithPlatformSeed(seed))
-		}
-	}
 	// A fouling conviction forces the attached scheduler (if any, now or
 	// later) to recalibrate its campaigns on the convicted target.
-	s.diag.SetRecalTrigger(func(target string) int {
+	s.diag.recalTrigger = func(target string) int {
 		if ms := s.sched.Load(); ms != nil {
 			return ms.ForceRecal(target)
 		}
 		return 0
-	})
+	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/panels", s.handlePanel)
 	s.mux.HandleFunc("POST /v1/panels/batch", s.handleBatch)
@@ -685,7 +646,7 @@ func (s *Server) handleShardAdd(w http.ResponseWriter, r *http.Request) {
 	if seed == 0 {
 		seed = s.fleet.seed
 	}
-	p, err := s.platformFor(req.Targets, seed)
+	p, err := DesignPlatform(req.Targets, WithPlatformSeed(seed))
 	if err != nil {
 		httpError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -760,9 +721,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // current stats snapshot to the diagnoser and returns its verdict —
 // polling the endpoint IS the observation cadence, so a dashboard
 // hitting it periodically is all the wiring automated root-cause
-// analysis needs. When auto-quarantine is on (the default), a request
-// that convicts a shard also quarantines it, and the returned report
-// says so.
+// analysis needs. A request that convicts a shard also quarantines it,
+// and the returned report says so.
 func (s *Server) handleDiagnosis(w http.ResponseWriter, _ *http.Request) {
 	s.diag.Observe(s.Stats())
 	writeJSON(w, toWireDiagnosis(s.diag.Diagnose()))

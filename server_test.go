@@ -35,8 +35,9 @@ func newTestServer(t *testing.T, shards int, opts ...advdiag.FleetOption) (*advd
 }
 
 // newServedFleet is newTestServer that also returns the served fleet,
-// for tests that submit to it beside the Server.
-func newServedFleet(t *testing.T, shards int, srvOpts []advdiag.ServerOption, opts ...advdiag.FleetOption) (*advdiag.Fleet, *advdiag.Server, *advdiag.Client) {
+// for tests that submit to it beside the Server, with faults armed
+// before the server takes any traffic.
+func newServedFleet(t *testing.T, shards int, faults []advdiag.Fault, opts ...advdiag.FleetOption) (*advdiag.Fleet, *advdiag.Server, *advdiag.Client) {
 	t.Helper()
 	p, err := servePlatform()
 	if err != nil {
@@ -50,7 +51,8 @@ func newServedFleet(t *testing.T, shards int, srvOpts []advdiag.ServerOption, op
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := advdiag.NewServer(fleet, srvOpts...)
+	injectFaults(t, fleet, faults...)
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,6 +64,15 @@ func newServedFleet(t *testing.T, shards int, srvOpts []advdiag.ServerOption, op
 		}
 	})
 	return fleet, srv, advdiag.NewClient(ts.URL, advdiag.WithHTTPClient(ts.Client()))
+}
+
+// injectFaults arms faults on a fleet as one plan, failing the test if
+// the plan is refused.
+func injectFaults(t *testing.T, fleet *advdiag.Fleet, faults ...advdiag.Fault) {
+	t.Helper()
+	if err := fleet.InjectFaults(advdiag.FaultPlan{Faults: faults}); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // localFingerprints runs the same samples on a local Lab over the
@@ -219,10 +230,9 @@ func TestServerSaturation429(t *testing.T) {
 	// A slow-shard fault stalls the lone worker a few ms per job so the
 	// burst reliably finds the depth-1 queue full, however fast the
 	// panel kernel gets; the delay changes timing only, never results.
-	_, client := newTestServer(t, 1, advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(1),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 5 * time.Millisecond},
-		}}))
+	_, _, client := newServedFleet(t, 1,
+		[]advdiag.Fault{{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 5 * time.Millisecond}},
+		advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(1))
 	sample := advdiag.Sample{ID: "burst", Concentrations: map[string]float64{"glucose": 5.0}}
 
 	var saturated, served int
@@ -439,38 +449,12 @@ func readBody(t *testing.T, resp *http.Response) string {
 func clientBase(c *advdiag.Client) string { return c.BaseURL() }
 
 // TestServerShardEndpoints drives the elastic topology over the wire:
-// POST /v1/shards grows the fleet (through the injectable platform
-// factory), DELETE /v1/shards/{id} retires a shard, bad requests map
-// to the right status codes, and traffic keeps flowing — with
-// fingerprints still byte-identical to a local Lab — across both
-// changes.
+// POST /v1/shards designs a platform and grows the fleet, DELETE
+// /v1/shards/{id} retires a shard, bad requests map to the right
+// status codes, and traffic keeps flowing — with fingerprints still
+// byte-identical to a local Lab — across both changes.
 func TestServerShardEndpoints(t *testing.T) {
-	p, err := servePlatform()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plats := []*advdiag.Platform{p, p}
-	fleet, err := advdiag.NewFleet(plats, advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := advdiag.NewServer(fleet,
-		advdiag.WithServerPlatformFactory(func(targets []string, seed uint64) (*advdiag.Platform, error) {
-			// The shared platform measures exactly these targets; reusing
-			// it skips a multi-second design-space exploration per test.
-			return p, nil
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		if err := srv.Close(); err != nil && !errors.Is(err, advdiag.ErrFleetClosed) {
-			t.Errorf("server close: %v", err)
-		}
-	})
-	client := advdiag.NewClient(ts.URL, advdiag.WithHTTPClient(ts.Client()))
+	_, client := newTestServer(t, 2, advdiag.WithFleetWorkers(2), advdiag.WithFleetQueueDepth(32))
 	ctx := context.Background()
 	base := clientBase(client)
 
@@ -537,7 +521,7 @@ func TestServerShardEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ts.Client().Do(req)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -580,13 +564,12 @@ func TestServerConvictionForcesRecal(t *testing.T) {
 	}
 	fleet, err := advdiag.NewFleet([]*advdiag.Platform{p, p},
 		advdiag.WithFleetWorkers(2),
-		advdiag.WithFleetQueueDepth(64),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7},
-		}}))
+		advdiag.WithFleetQueueDepth(64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	injectFaults(t, fleet,
+		advdiag.Fault{Kind: advdiag.FaultFouledElectrode, Shard: sick, Target: "glucose", Severity: 0.5, Seed: 7})
 	ms, err := advdiag.NewMonitorScheduler(fleet, advdiag.WithSchedulerSeed(7))
 	if err != nil {
 		t.Fatal(err)
@@ -597,12 +580,11 @@ func TestServerConvictionForcesRecal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := advdiag.NewServer(fleet,
-		advdiag.WithServerDiagnoser(advdiag.NewDiagnoser(fleet)),
-		advdiag.WithServerScheduler(ms))
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.AttachScheduler(ms)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
 		ts.Close()

@@ -266,11 +266,9 @@ func TestServerSharesFleetWithInProcessSubmitters(t *testing.T) {
 // Drain returns, the shard's run counters exclude them, and the next
 // panel still serves and replays bit for bit.
 func TestServerDropsAbandonedRequests(t *testing.T) {
-	fleet, _, client := newServedFleet(t, 1, nil,
-		advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(4),
-		advdiag.WithFleetFaultPlan(advdiag.FaultPlan{Faults: []advdiag.Fault{
-			{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 400 * time.Millisecond},
-		}}))
+	fleet, _, client := newServedFleet(t, 1,
+		[]advdiag.Fault{{Kind: advdiag.FaultSlowShard, Shard: 0, Delay: 400 * time.Millisecond}},
+		advdiag.WithFleetWorkers(1), advdiag.WithFleetQueueDepth(4))
 	waitFor := func(what string, cond func(advdiag.FleetStats) bool) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)

@@ -107,34 +107,7 @@ func TestInjectFaultLive(t *testing.T) {
 	}
 }
 
-// TestFleetSeedOption: WithFleetSeed overrides the platform seed, and
-// equal seeds reproduce equal fingerprints.
-func TestFleetSeedOption(t *testing.T) {
-	samples := mixedCohort(6)
-	run := func(seed uint64) []uint64 {
-		fleet, err := advdiag.NewFleet(fleetPlatforms(t, 1), advdiag.WithFleetSeed(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer fleet.Close() //nolint:errcheck // drained by RunPanels
-		return fingerprints(t, fleet.RunPanels(samples))
-	}
-	a, b, c := run(123), run(123), run(124)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("sample %d: same fleet seed diverged", i)
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different fleet seeds produced identical panels")
-	}
-
+func TestFleetShardsAccessor(t *testing.T) {
 	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 3))
 	if err != nil {
 		t.Fatal(err)
@@ -154,33 +127,6 @@ func TestLabWorkersAccessor(t *testing.T) {
 	}
 	if lab.Workers() != 3 {
 		t.Fatalf("Workers() = %d", lab.Workers())
-	}
-}
-
-// TestDiagnoserOptionClamps: out-of-range tuning clamps to sane
-// minima instead of disabling the detector.
-func TestDiagnoserOptionClamps(t *testing.T) {
-	d := advdiag.NewDiagnoser(nil,
-		advdiag.WithDiagWindow(1),
-		advdiag.WithDiagMinEstimates(0),
-		advdiag.WithDiagFoulingThreshold(0.3),
-		advdiag.WithDiagStallConfirmations(0),
-		advdiag.WithDiagAutoQuarantine(false))
-	// The clamped diagnoser must still function end to end.
-	d.Observe(advdiag.ServerStats{})
-	d.Observe(advdiag.ServerStats{})
-	if got := d.Diagnose(); got.Status != advdiag.StatusHealthy {
-		t.Fatalf("clamped diagnoser: %+v", got)
-	}
-
-	fleet, err := advdiag.NewFleet(fleetPlatforms(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fleet.Close() //nolint:errcheck // nothing submitted
-	d.Bind(fleet)
-	if got := d.Diagnose(); len(got.QuarantinedShards) != 0 {
-		t.Fatalf("bound diagnoser invented a quarantine: %+v", got)
 	}
 }
 
@@ -221,14 +167,14 @@ func TestServerAccessorsAndSchedulerOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := advdiag.NewDiagnoser(fleet)
-	srv, err := advdiag.NewServer(fleet, advdiag.WithServerScheduler(ms), advdiag.WithServerDiagnoser(d))
+	srv, err := advdiag.NewServer(fleet)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close() //nolint:errcheck // nothing submitted
-	if srv.Diagnoser() != d {
-		t.Fatal("Diagnoser() does not return the attached diagnoser")
+	srv.AttachScheduler(ms)
+	if srv.Diagnoser() == nil {
+		t.Fatal("the server built no diagnoser")
 	}
 	if srv.Stats().Scheduler == nil {
 		t.Fatal("scheduler stats not merged into the snapshot")
@@ -267,8 +213,7 @@ func TestDesignPlatformExploreOptions(t *testing.T) {
 	p, err := advdiag.DesignPlatform([]string{"glucose"},
 		advdiag.WithPlatformSeed(13),
 		advdiag.WithSamplePeriod(600),
-		advdiag.WithExploreWorkers(2),
-		advdiag.WithExploreBudget(0))
+		advdiag.WithExploreWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
