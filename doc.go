@@ -329,6 +329,10 @@
 //     CV sweep grid (programmed and applied potentials, film-bump
 //     shapes) is tabulated once in the shared CVBasis, and RunCA stops
 //     evaluating the double-layer charging term once it underflows.
+//     RunCA's sources are segment-constant: it refreshes each
+//     cross-talk and interferent term only when an injection or the
+//     baseline's end can change it (cell.Sampler.Next), and adds the
+//     cached terms in the per-sample order, so output is bit-identical.
 //
 //   - Noise synthesis, the largest cost of a panel, is one ziggurat
 //     draw per normal and O(1) flicker bookkeeping per sample.

@@ -282,8 +282,13 @@ func NewFleet(platforms []*Platform, opts ...FleetOption) (*Fleet, error) {
 	return f, nil
 }
 
-// Shards reports the shard count.
-func (f *Fleet) Shards() int { return len(f.shards) }
+// Shards reports the shard count, removed shards included (AddShard may
+// grow it concurrently).
+func (f *Fleet) Shards() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.shards)
+}
 
 // shardWorker executes routed jobs for one shard until its queue
 // closes. Each dequeue takes one fault snapshot. While that snapshot

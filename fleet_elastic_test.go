@@ -255,6 +255,52 @@ func TestFleetRemoveShardValidation(t *testing.T) {
 	}
 }
 
+// TestFleetShardCountBesideAddShard: Shards, InjectFault and
+// InjectFaults read the shard count while AddShard grows it. Under
+// go test -race this fails if any of them reads it outside the fleet
+// lock; without -race it still checks that every count seen is one the
+// fleet had and that a fault aimed at the newest shard is accepted.
+func TestFleetShardCountBesideAddShard(t *testing.T) {
+	const adds = 3
+	plats := fleetPlatforms(t, 1+adds)
+	fleet, err := advdiag.NewFleet(plats[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, p := range plats[1:] {
+			if _, err := fleet.AddShard(p); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		n := fleet.Shards()
+		if n < 1 || n > 1+adds {
+			t.Fatalf("Shards() = %d while growing from 1 to %d", n, 1+adds)
+		}
+		slow := advdiag.Fault{Kind: advdiag.FaultSlowShard, Shard: n - 1, Delay: time.Millisecond}
+		if err := fleet.InjectFault(slow); err != nil {
+			t.Fatal(err)
+		}
+		if err := fleet.InjectFaults(advdiag.FaultPlan{Faults: []advdiag.Fault{slow}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fleet.Shards(); n != 1+adds {
+		t.Fatalf("Shards() = %d after %d AddShard calls, want %d", n, adds, 1+adds)
+	}
+}
+
 // TestFleetReplayPanel: any outcome replays bit-identically on any
 // shard — including one that never ran it — and the accessor range-
 // checks its arguments.

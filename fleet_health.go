@@ -186,11 +186,11 @@ func (f *Fleet) Events() []FleetEvent {
 // Injection is atomic per shard: workers observe either the previous
 // fault state or the new one, never a torn mix.
 func (f *Fleet) InjectFault(ft Fault) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if err := ft.Validate(len(f.shards)); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.closed {
 		return ErrFleetClosed
 	}
@@ -204,11 +204,11 @@ func (f *Fleet) InjectFault(ft Fault) error {
 // InjectFaults arms a whole plan, validating every fault before arming
 // any — a plan takes effect completely or not at all.
 func (f *Fleet) InjectFaults(plan FaultPlan) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if err := plan.Validate(len(f.shards)); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	if f.closed {
 		return ErrFleetClosed
 	}

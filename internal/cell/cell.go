@@ -126,7 +126,10 @@ func (s *Solution) AllSpecies() iter.Seq[string] {
 // At calls with non-decreasing t are O(1); a time before the previous
 // call rewinds the cursor (O(k) in the species' injection count), so a
 // Sampler is correct for any call pattern and merely fastest for the
-// monotone one. A Sampler belongs to one goroutine.
+// monotone one. Next tells a loop how long the last value holds, so it
+// can skip the calls in between. A Sampler is a value: callers keep it
+// in place and call At through its address. A Sampler belongs to one
+// goroutine.
 type Sampler struct {
 	initial phys.Concentration
 	steps   []Injection // this species only, time-ordered
@@ -138,8 +141,8 @@ type Sampler struct {
 // Sampler builds the single-species cursor for the given species name.
 // The zero concentration timeline of an unknown species is itself valid
 // (every concentration is 0), mirroring Solution.At.
-func (s *Solution) Sampler(species string) *Sampler {
-	sm := &Sampler{initial: s.initial[species]}
+func (s *Solution) Sampler(species string) Sampler {
+	sm := Sampler{initial: s.initial[species]}
 	for _, inj := range s.injections {
 		if inj.Species == species {
 			sm.steps = append(sm.steps, inj)
@@ -172,6 +175,22 @@ func (sm *Sampler) At(t float64) phys.Concentration {
 		sm.idx++
 	}
 	return sm.cur
+}
+
+// Next returns the time of the sampler's next step: At returns the same
+// value for every t from the last call's time up to, but not including,
+// Next. It is +Inf when no step is left, and also when the next step can
+// never be passed — a NaN step time, which At's cursor never moves
+// beyond — so the minimum over several samplers is never NaN.
+func (sm *Sampler) Next() float64 {
+	if sm.idx >= len(sm.steps) {
+		return math.Inf(1)
+	}
+	next := sm.steps[sm.idx].Time
+	if math.IsNaN(next) {
+		return math.Inf(1)
+	}
+	return next
 }
 
 // Chamber is one fluidic volume with its electrodes.

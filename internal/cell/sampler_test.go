@@ -1,6 +1,7 @@
 package cell
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -78,5 +79,61 @@ func TestSpeciesCache(t *testing.T) {
 	got[0] = "mutated"
 	if again := sol.Species(); again[0] != "aminopyrine" {
 		t.Fatal("Species() must return a copy, caller mutation leaked")
+	}
+}
+
+// TestSamplerNext checks that Next names the time of the step At will
+// apply next, is +Inf once no step is left or for a species with none,
+// and treats a NaN step time — which At's cursor never passes — as +Inf
+// too, so a minimum over several samplers never turns NaN.
+func TestSamplerNext(t *testing.T) {
+	inf := math.Inf(1)
+	sol := NewSolution().
+		Set("glucose", phys.MilliMolar(2)).
+		Inject(10, "glucose", phys.MilliMolar(1)).
+		Inject(20, "glucose", phys.MilliMolar(-5)).
+		Inject(20, "glucose", phys.MilliMolar(1)). // same time as the step before
+		Inject(30, "glucose", phys.MilliMolar(2)).
+		Inject(15, "lactate", phys.MilliMolar(1))
+
+	sm := sol.Sampler("glucose")
+	if got := sm.Next(); got != 10 {
+		t.Fatalf("Next before any At = %g, want 10", got)
+	}
+	for _, c := range []struct{ at, next float64 }{
+		{0, 10}, {9.999, 10}, {10, 20}, {19.5, 20}, {20, 30}, {29, 30}, {30, inf}, {100, inf},
+	} {
+		sm.At(c.at)
+		if got := sm.Next(); got != c.next {
+			t.Fatalf("Next after At(%g) = %g, want %g", c.at, got, c.next)
+		}
+	}
+	// A rewind puts the cursor back in front of the first step.
+	sm.At(5)
+	if got := sm.Next(); got != 10 {
+		t.Fatalf("Next after rewinding to 5 = %g, want 10", got)
+	}
+
+	unknown := sol.Sampler("unknown")
+	unknown.At(0)
+	if got := unknown.Next(); got != inf {
+		t.Fatalf("unknown species: Next = %g, want +Inf", got)
+	}
+
+	nan := NewSolution().
+		Set("glucose", phys.MilliMolar(1)).
+		Inject(math.NaN(), "glucose", phys.MilliMolar(1))
+	ns := nan.Sampler("glucose")
+	for _, tm := range []float64{0, 1e9, inf} {
+		c := ns.At(tm)
+		if got := ns.Next(); got != inf {
+			t.Fatalf("NaN step: Next after At(%g) = %g, want +Inf", tm, got)
+		}
+		if c != phys.MilliMolar(1) {
+			t.Fatalf("NaN step: At(%g) = %v, want the initial 1 mM (the step is never passed)", tm, c)
+		}
+	}
+	if got := min(ns.Next(), sm.Next()); got != 10 {
+		t.Fatalf("min over a NaN-stepped and a live sampler = %g, want 10", got)
 	}
 }

@@ -49,20 +49,26 @@ type Engine struct {
 // RunCA loop re-derived on every timestep.
 type caCrosstalk struct {
 	ox      *enzyme.Oxidase
-	sampler *cell.Sampler
+	sampler cell.Sampler
 	gain    float64
 	// factor folds crosstalk coefficient × n × F × the receiving
 	// electrode's potential efficiency (constant at fixed potential).
 	factor float64
+	// term is the source's current density, factor × the neighbour's
+	// Michaelis–Menten turnover, as of RunCA's last refresh.
+	term float64
 }
 
 // caInterferent is one precomputed direct-oxidizer source present in
 // the chamber solution.
 type caInterferent struct {
-	sampler *cell.Sampler
+	sampler cell.Sampler
 	// coeff folds the direct-response slope × the potential efficiency
 	// sigmoid at the run's fixed applied potential.
 	coeff float64
+	// term is coeff × the interferent's concentration as of RunCA's
+	// last refresh.
+	term float64
 }
 
 // NewEngine builds an engine over c with a deterministic seed. Two
@@ -213,7 +219,7 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	} else {
 		// A bare blank still shows background fluctuation; use the
 		// smallest oxidase blank density as representative.
-		sigma = blankFloorSigma() * gain
+		sigma = blankFloorSigma * gain
 	}
 	noise := e.rng.Split()
 	// The blank background has two parts: a run-to-run offset (electrode
@@ -231,10 +237,11 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 	// map and allocates nothing. An unknown species in the chamber
 	// solution fails here, before the instrument is touched, instead of
 	// being silently skipped on every timestep.
-	var targetSampler *cell.Sampler
-	etaOx, membStep := 0.0, 0.0
+	var targetSampler cell.Sampler
+	nF, etaOx, membStep := 0.0, 0.0, 0.0
 	if ox != nil {
 		targetSampler = ch.Solution.Sampler(ox.Target.Name)
+		nF = float64(ox.N) * phys.Faraday
 		etaOx = echem.SigmoidEfficiency(actual, ox.EHalf, ox.N)
 		// Exact first-order membrane relaxation over dt.
 		membStep = 1 - math.Exp(-dt/we.Func.MembraneTau)
@@ -300,25 +307,49 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 
 	// Pass 1 computes the cell current. The blank-noise draws, one per
 	// sample, come as one block into rec, which pass 2 then overwrites.
+	//
+	// Every source concentration is piecewise constant: it moves only at
+	// an injection or, for the target, at the end of the baseline phase.
+	// So the loop refreshes the bulk target concentration cb and each
+	// source's cached term only once t reaches the earliest such event,
+	// and in between adds the cached terms in the same order as a
+	// per-sample evaluation would, which keeps every sum bit-identical.
 	noise.NormFill(rec.Values)
+	cb := 0.0
+	event := math.Inf(-1) // refresh on the first sample
 	for i := 0; i < n; i++ {
 		t := float64(i) * dt
+		if t >= event {
+			event = math.Inf(1)
+			if ox != nil {
+				cb = float64(targetSampler.At(t))
+				event = targetSampler.Next()
+				if t < proto.BaselinePhase {
+					cb = 0 // buffer-only phase of the two-phase protocol
+					event = min(event, proto.BaselinePhase)
+				}
+			}
+			for k := range e.crosstalks {
+				x := &e.crosstalks[k]
+				x.term = x.factor * x.ox.TurnoverRate(x.sampler.At(t), x.gain)
+				event = min(event, x.sampler.Next())
+			}
+			for k := range e.interferents {
+				in := &e.interferents[k]
+				in.term = in.coeff * float64(in.sampler.At(t))
+				event = min(event, in.sampler.Next())
+			}
+		}
 		j := 0.0 // current density, A/m²
 		if ox != nil {
-			cb := float64(targetSampler.At(t))
-			if t < proto.BaselinePhase {
-				cb = 0 // buffer-only phase of the two-phase protocol
-			}
 			cs += (cb - cs) * membStep
-			j += float64(ox.N) * phys.Faraday * ox.TurnoverRate(phys.Concentration(cs), gain) * etaOx
+			j += nF * ox.TurnoverRate(phys.Concentration(cs), gain) * etaOx
 		}
 		for k := range e.crosstalks {
-			x := &e.crosstalks[k]
-			j += x.factor * x.ox.TurnoverRate(x.sampler.At(t), x.gain)
+			j += e.crosstalks[k].term
 		}
 		for k := range e.interferents {
-			in := &e.interferents[k]
-			j += in.coeff * float64(in.sampler.At(t))
+			j += e.interferents[k].term
 		}
 		// Stochastic blank background: run offset plus sample noise.
 		j += runOffset + sigma*rec.Values[i]
@@ -345,9 +376,13 @@ func (e *Engine) RunCA(weName string, chain *analog.Chain, proto Chronoamperomet
 // margin).
 var hydrogenPeroxideHalfWave = phys.MilliVolts(612)
 
-// blankFloorSigma returns the smallest registered oxidase blank noise
-// density, used for bare blank electrodes.
-func blankFloorSigma() float64 {
+// blankFloorSigma is the smallest registered oxidase blank noise
+// density, used for bare blank electrodes. The oxidase registry is
+// fixed once package enzyme is initialized, so the value is computed
+// once.
+var blankFloorSigma = minBlankSigma()
+
+func minBlankSigma() float64 {
 	sigma := math.Inf(1)
 	for _, o := range enzyme.Oxidases() {
 		if o.BlankSigma > 0 && o.BlankSigma < sigma {
@@ -634,9 +669,11 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	area := float64(we.Area)
 	// The blank current-density noise is a property of the electrode's
 	// enzyme film, present whether or not substrate is in solution.
-	sigma := blankFloorSigma() * gain
+	var sigma float64
 	if cyp != nil {
 		sigma = we.Func.Assay.Binding.BlankSigmaAt(gain)
+	} else {
+		sigma = blankFloorSigma * gain
 	}
 	noise := e.rng.Split()
 

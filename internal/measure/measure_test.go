@@ -13,7 +13,7 @@ import (
 	"advdiag/internal/trace"
 )
 
-func assayFor(t *testing.T, target string, tech enzyme.Technique) enzyme.Assay {
+func assayFor(t testing.TB, target string, tech enzyme.Technique) enzyme.Assay {
 	t.Helper()
 	for _, a := range enzyme.AssaysFor(target) {
 		if a.Technique == tech {
