@@ -232,3 +232,72 @@ func TestGoldenCVTemplates(t *testing.T) {
 	}
 	checkGolden(t, "cv_templates_cyp2b4", goldenSummary(parts, anchors))
 }
+
+// TestGoldenCVBasisTrace pins the basis-mode voltammetric path
+// (RunCVWithBasis) with every binding active, on the CYP2B4 dual-drug
+// electrode and on a three-binding isoform (CYP2B4's bindings plus
+// CYP2E1's p-nitrophenol), whose faradaic sum depends on the order the
+// bindings are added in. Each runs one and two sweep cycles, with a
+// basis built through the run's own chain (the run reads the basis'
+// sweep grid) and one built with the programmed drive (the run
+// evaluates its own grid). Every trace of every run feeds one hash.
+func TestGoldenCVBasisTrace(t *testing.T) {
+	cyp2b4 := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
+	cyp2e1 := assayFor(t, "p-nitrophenol", enzyme.CyclicVoltammetry)
+	triple := cyp2b4
+	triple.CYP = &enzyme.CYP{
+		Isoform:  "CYP2B4+2E1",
+		Bindings: append(append([]*enzyme.Binding(nil), cyp2b4.CYP.Bindings...), cyp2e1.Binding),
+	}
+	parts := map[string][]float64{}
+	anchors := map[string]float64{}
+	for _, a := range []enzyme.Assay{cyp2b4, triple} {
+		var peaks []phys.Voltage
+		for _, b := range a.CYP.Bindings {
+			peaks = append(peaks, b.PeakPotential)
+		}
+		start, vertex := CVWindowFor(peaks...)
+		for _, cycles := range []int{1, 2} {
+			for _, ownChain := range []bool{false, true} {
+				sol := cell.NewSolution()
+				for k, b := range a.CYP.Bindings {
+					sol.Set(b.Substrate.Name, phys.MilliMolar(float64(1+3*k)))
+				}
+				we := electrode.NewWorking("WE1", electrode.Bare, a)
+				c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
+				eng, err := NewEngine(c, 20240903+uint64(cycles))
+				if err != nil {
+					t.Fatal(err)
+				}
+				chain := analog.NewNanoChain(nil, eng.RNG())
+				proto := CyclicVoltammetry{Start: start, Vertex: vertex, Cycles: cycles}
+				var basisChain *analog.Chain
+				if ownChain {
+					basisChain = chain
+				}
+				basis, err := eng.CVFluxBasis("WE1", proto, basisChain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := eng.RunCVWithBasis("WE1", chain, proto, basis)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := fmt.Sprintf("%s_c%d_chain%t_", a.CYP.Isoform, cycles, ownChain)
+				parts[key+"potential"] = res.Potential.Values
+				parts[key+"raw"] = res.Raw.Values
+				parts[key+"recorded"] = res.Recorded.Values
+				parts[key+"current"] = res.Current.Values
+				parts[key+"vg_x"] = res.Voltammogram.X
+				parts[key+"vg_y"] = res.Voltammogram.Y
+				minRaw := math.Inf(1)
+				for _, v := range res.Raw.Values {
+					minRaw = math.Min(minRaw, v)
+				}
+				anchors[key+"raw_min_A"] = minRaw
+				anchors[key+"n_samples"] = float64(res.Raw.Len())
+			}
+		}
+	}
+	checkGolden(t, "cv_basis_cyp2b4", goldenSummary(parts, anchors))
+}
