@@ -1,9 +1,9 @@
 // Remote: the full service boundary in one process — a sharded fleet
 // behind the HTTP front door, and a client on the other side of a real
 // TCP connection submitting panels in all three shapes (single, batch,
-// NDJSON stream). This is the deployment unit cmd/labserve runs for
-// real; here server and client share a process so the example is
-// self-contained.
+// stream of binary frames). This is the deployment unit cmd/labserve
+// runs for real; here server and client share a process so the example
+// is self-contained.
 //
 // The punchline is the last block: the PanelResult fingerprints that
 // crossed the wire are byte-identical to a local Lab run of the same
@@ -85,13 +85,13 @@ func main() {
 		fmt.Printf("batch %s → shard %d, fingerprint %016x\n", o.ID, o.Shard, o.Result.Fingerprint())
 	}
 
-	// Shape 3: an NDJSON stream, outcomes as they complete.
+	// Shape 3: a stream of binary frames, outcomes as they complete.
 	fmt.Println()
 	err = client.StreamPanels(ctx, samples, func(seq int, o advdiag.PanelOutcome) {
 		if o.Err != nil {
 			log.Fatalf("stream %s: %v", o.ID, o.Err)
 		}
-		fmt.Printf("stream line %d (%s) done in %.1f ms\n", seq, o.ID, 1e3*o.WallSeconds)
+		fmt.Printf("stream frame %d (%s) done in %.1f ms\n", seq, o.ID, 1e3*o.WallSeconds)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,19 +8,21 @@ import (
 	"advdiag/internal/trace"
 )
 
-// FitPlan is a prefactored FitCVComponents: everything in the template
-// decomposition that depends only on the potential grid, the unit
-// templates and the nuisance columns — the zero-template filtering,
-// deterministic name ordering, alias clustering, background columns and
-// the least-squares factorization — is computed once per electrode
-// calibration, so the per-sample fit costs one right-hand-side solve
-// plus the residual pass.
+// FitPlan is the one implementation of the CV template decomposition
+// (FitCVComponents is a one-shot plan). It owns every decision of the
+// fit: templates all but zero over the window (max |value| < 1e-15)
+// are skipped and read zero; the rest are fitted in sorted name order;
+// templates correlated above 0.99 with an earlier one are aliased to it
+// and share its amplitude; the design columns are the representative
+// templates, ones, the grid X, the sweep direction and the nuisance
+// columns, in that order; mathx.LSQPlan solves them; negative
+// amplitudes clamp to zero.
 //
-// Fit is bit-identical to FitCVComponents on the same voltammogram:
-// the plan records the exact columns in the exact order, and
-// mathx.LSQPlan replays the exact eliminations of mathx.LeastSquares.
-// A plan is immutable after construction and safe for concurrent Fit
-// calls when each caller passes its own FitScratch.
+// Everything that depends only on the potential grid, the unit
+// templates and the nuisance columns is computed once per electrode
+// calibration, so each fit costs one right-hand-side solve plus the
+// residual pass. A plan is immutable after construction and safe for
+// concurrent Fit calls when each caller passes its own FitScratch.
 type FitPlan struct {
 	m     int
 	gridX []float64
@@ -30,9 +32,8 @@ type FitPlan struct {
 	names   []string
 	colOf   map[string]int
 	aliased map[string][]string
-	// cols are the design-matrix columns in LeastSquares order:
-	// representative templates, ones, grid X, sweep direction, then the
-	// nuisance columns.
+	// cols are the design-matrix columns: representative templates,
+	// ones, grid X, sweep direction, then the nuisance columns.
 	cols [][]float64
 	dir  []float64
 	nNui int
@@ -44,12 +45,11 @@ type FitScratch struct {
 	rhs, coef []float64
 }
 
-// PlanFit is the outcome of one planned fit. Amplitude reproduces the
-// ComponentFit.Amplitudes lookup (alias sharing, skipped templates,
-// the non-negativity clamp) without building a map; the affine
-// background and residual match ComponentFit field-for-field. The
-// coefficient slice aliases the FitScratch, so a PlanFit is valid only
-// until the scratch's next fit.
+// PlanFit is the outcome of one planned fit. Amplitude looks a
+// template's amplitude up without building a map (FitCVComponents
+// copies the lookups into ComponentFit). The coefficient slice aliases
+// the FitScratch, so a PlanFit is valid only until the scratch's next
+// fit.
 type PlanFit struct {
 	plan *FitPlan
 	coef []float64
@@ -59,10 +59,9 @@ type PlanFit struct {
 	ResidualRMS float64
 }
 
-// Amplitude returns the fitted amplitude for a template name, exactly
-// as ComponentFit.Amplitudes would report it: aliased substrates share
-// their representative's amplitude, skipped and unknown templates read
-// zero, and negative amplitudes clamp to zero.
+// Amplitude returns the fitted amplitude for a template name: aliased
+// substrates share their representative's amplitude, skipped and
+// unknown templates read zero, and negative amplitudes clamp to zero.
 func (f *PlanFit) Amplitude(name string) float64 {
 	idx, ok := f.plan.colOf[name]
 	if !ok || idx < 0 {
@@ -75,12 +74,11 @@ func (f *PlanFit) Amplitude(name string) float64 {
 	return amp
 }
 
-// Aliased returns the alias clusters (see ComponentFit.Aliased). The
-// map is shared plan state — read-only.
+// Aliased returns the alias clusters (see ComponentFit.Aliased), nil
+// when nothing aliases. The map is shared plan state — read-only.
 func (f *PlanFit) Aliased() map[string][]string { return f.plan.aliased }
 
-// NewFitPlan builds the plan for one electrode's calibration grid,
-// replicating FitCVComponents's sample-invariant preprocessing exactly.
+// NewFitPlan builds the plan for one electrode's calibration grid.
 func NewFitPlan(gridX []float64, templates map[string][]float64, nuisances ...[]float64) (*FitPlan, error) {
 	m := len(gridX)
 	if m < 8 {
@@ -232,4 +230,30 @@ func (p *FitPlan) Fit(vg *trace.XY, s *FitScratch) (PlanFit, error) {
 	}
 	fit.ResidualRMS = math.Sqrt(ss / float64(p.m))
 	return fit, nil
+}
+
+func sortStrings(s []string) {
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j] < s[j-1]; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
+		}
+	}
+}
+
+// templateCorrelation returns the normalized inner product of two
+// template columns (1 = identical shape).
+func templateCorrelation(a, b []float64) float64 {
+	if len(a) != len(b) {
+		return 0
+	}
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
 }

@@ -1,10 +1,8 @@
 package analysis
 
 import (
-	"fmt"
 	"math"
 
-	"advdiag/internal/mathx"
 	"advdiag/internal/trace"
 )
 
@@ -56,160 +54,34 @@ func GaussianColumn(xs []float64, center, width float64) []float64 {
 // neighbouring wave (it becomes a shoulder), while the template
 // decomposition recovers both amplitudes exactly in the noise-free
 // limit.
+//
+// It is a one-shot FitPlan: the plan built on the voltammogram's own
+// grid, fitted once, with its lookups spelled out as maps.
 func FitCVComponents(vg *trace.XY, templates map[string][]float64, nuisances ...[]float64) (*ComponentFit, error) {
 	if err := vg.Validate(); err != nil {
 		return nil, err
 	}
-	m := vg.Len()
-	if m < 8 {
-		return nil, ErrInsufficientData
+	plan, err := NewFitPlan(vg.X, templates, nuisances...)
+	if err != nil {
+		return nil, err
 	}
-	if len(templates) == 0 {
-		return nil, fmt.Errorf("analysis: no templates to fit")
-	}
-	names := make([]string, 0, len(templates))
-	skipped := make([]string, 0)
-	for name, tpl := range templates {
-		if len(tpl) != m {
-			return nil, fmt.Errorf("analysis: template %q has %d samples, voltammogram has %d", name, len(tpl), m)
-		}
-		// Templates whose peak lies outside the scanned window are all
-		// but zero; excluding them keeps the normal equations well
-		// conditioned. Their amplitude is reported as zero.
-		if mathx.MaxAbs(tpl) < 1e-15 {
-			skipped = append(skipped, name)
-			continue
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("analysis: every template is zero over the scanned window")
-	}
-	// Deterministic column order.
-	sortStrings(names)
-
-	// Merge voltammetrically indistinguishable templates: near-collinear
-	// columns make the normal equations explode into huge cancelling
-	// amplitudes. Physically the instrument sees one peak (the paper's
-	// peak-separation rule), so indistinguishable substrates share one
-	// fitted amplitude.
-	aliased := map[string][]string{}
-	var reps []string // cluster representatives, in order
-	repOf := map[string]string{}
-	for _, name := range names {
-		assigned := false
-		for _, rep := range reps {
-			if templateCorrelation(templates[name], templates[rep]) > 0.99 {
-				repOf[name] = rep
-				aliased[rep] = append(aliased[rep], name)
-				aliased[name] = append(aliased[name], rep)
-				assigned = true
-				break
-			}
-		}
-		if !assigned {
-			reps = append(reps, name)
-			repOf[name] = name
-		}
-	}
-	names = reps
-
-	cols := make([][]float64, 0, len(names)+3)
-	for _, name := range names {
-		cols = append(cols, templates[name])
-	}
-	ones := make([]float64, m)
-	for i := range ones {
-		ones[i] = 1
-	}
-	// Sweep-direction column: −1 on the cathodic branch, +1 on the
-	// anodic one, models the double-layer charging current C·dE/dt.
-	dir := make([]float64, m)
-	for i := 1; i < m; i++ {
-		if vg.X[i] < vg.X[i-1] {
-			dir[i] = -1
-		} else if vg.X[i] > vg.X[i-1] {
-			dir[i] = 1
-		} else {
-			dir[i] = dir[i-1]
-		}
-	}
-	if m > 1 {
-		dir[0] = dir[1]
-	}
-	cols = append(cols, ones, vg.X, dir)
-	for i, nu := range nuisances {
-		if len(nu) != m {
-			return nil, fmt.Errorf("analysis: nuisance column %d has %d samples, voltammogram has %d", i, len(nu), m)
-		}
-		cols = append(cols, nu)
-	}
-
-	x, err := mathx.LeastSquares(cols, vg.Y)
+	pf, err := plan.Fit(vg, &FitScratch{})
 	if err != nil {
 		return nil, err
 	}
 	fit := &ComponentFit{
-		Amplitudes: make(map[string]float64, len(repOf)+len(skipped)),
-		Aliased:    aliased,
+		Amplitudes:  make(map[string]float64, len(plan.colOf)),
+		Aliased:     plan.aliased,
+		Baseline:    pf.Baseline,
+		Slope:       pf.Slope,
+		Charging:    pf.Charging,
+		ResidualRMS: pf.ResidualRMS,
 	}
-	repAmp := map[string]float64{}
-	for i, name := range names {
-		amp := x[i]
-		if amp < 0 {
-			amp = 0 // concentrations cannot be negative
-		}
-		repAmp[name] = amp
+	if fit.Aliased == nil {
+		fit.Aliased = map[string][]string{}
 	}
-	for name, rep := range repOf {
-		fit.Amplitudes[name] = repAmp[rep]
+	for name := range plan.colOf {
+		fit.Amplitudes[name] = pf.Amplitude(name)
 	}
-	for _, name := range skipped {
-		fit.Amplitudes[name] = 0
-	}
-	fit.Baseline = x[len(names)]
-	fit.Slope = x[len(names)+1]
-	fit.Charging = x[len(names)+2]
-
-	// Residual.
-	var ss float64
-	for r := 0; r < m; r++ {
-		pred := fit.Baseline + fit.Slope*vg.X[r] + fit.Charging*dir[r]
-		for i, name := range names {
-			pred += x[i] * templates[name][r]
-		}
-		for i := range nuisances {
-			pred += x[len(names)+3+i] * nuisances[i][r]
-		}
-		d := vg.Y[r] - pred
-		ss += d * d
-	}
-	fit.ResidualRMS = math.Sqrt(ss / float64(m))
 	return fit, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// templateCorrelation returns the normalized inner product of two
-// template columns (1 = identical shape).
-func templateCorrelation(a, b []float64) float64 {
-	if len(a) != len(b) {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }

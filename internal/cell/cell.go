@@ -78,8 +78,14 @@ func (s *Solution) Set(species string, c phys.Concentration) *Solution {
 }
 
 // Inject schedules a concentration step. Injections may be added in any
-// order; they are sorted internally.
+// order; they are sorted internally. A NaN instant never arrives, so a
+// step at a NaN time is dropped: neither At nor a Sampler ever applies
+// it. Steps at ±Inf are kept: one at −Inf applies from the start, one
+// at +Inf at no finite time.
 func (s *Solution) Inject(t float64, species string, delta phys.Concentration) *Solution {
+	if math.IsNaN(t) {
+		return s
+	}
 	s.injections = append(s.injections, Injection{Time: t, Species: species, Delta: delta})
 	sort.SliceStable(s.injections, func(i, j int) bool { return s.injections[i].Time < s.injections[j].Time })
 	s.noteSpecies(species)
@@ -179,18 +185,14 @@ func (sm *Sampler) At(t float64) phys.Concentration {
 
 // Next returns the time of the sampler's next step: At returns the same
 // value for every t from the last call's time up to, but not including,
-// Next. It is +Inf when no step is left, and also when the next step can
-// never be passed — a NaN step time, which At's cursor never moves
-// beyond — so the minimum over several samplers is never NaN.
+// Next. It is +Inf when no step is left. Step times are never NaN
+// (Inject drops those), so the minimum over several samplers is never
+// NaN either.
 func (sm *Sampler) Next() float64 {
 	if sm.idx >= len(sm.steps) {
 		return math.Inf(1)
 	}
-	next := sm.steps[sm.idx].Time
-	if math.IsNaN(next) {
-		return math.Inf(1)
-	}
-	return next
+	return sm.steps[sm.idx].Time
 }
 
 // Chamber is one fluidic volume with its electrodes.

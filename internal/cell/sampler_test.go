@@ -84,8 +84,8 @@ func TestSpeciesCache(t *testing.T) {
 
 // TestSamplerNext checks that Next names the time of the step At will
 // apply next, is +Inf once no step is left or for a species with none,
-// and treats a NaN step time — which At's cursor never passes — as +Inf
-// too, so a minimum over several samplers never turns NaN.
+// and is +Inf too for a species whose only injection came at a NaN time
+// (Inject drops it), so a minimum over several samplers never turns NaN.
 func TestSamplerNext(t *testing.T) {
 	inf := math.Inf(1)
 	sol := NewSolution().
@@ -130,10 +130,33 @@ func TestSamplerNext(t *testing.T) {
 			t.Fatalf("NaN step: Next after At(%g) = %g, want +Inf", tm, got)
 		}
 		if c != phys.MilliMolar(1) {
-			t.Fatalf("NaN step: At(%g) = %v, want the initial 1 mM (the step is never passed)", tm, c)
+			t.Fatalf("NaN step: At(%g) = %v, want the initial 1 mM (the step is dropped)", tm, c)
 		}
 	}
 	if got := min(ns.Next(), sm.Next()); got != 10 {
 		t.Fatalf("min over a NaN-stepped and a live sampler = %g, want 10", got)
+	}
+}
+
+// TestNaNInjectionDropped checks that Solution.At and a Sampler agree on
+// a timeline with a NaN-time injection: the step is dropped, so both
+// read the initial 1 mM before the valid step at t = 5 and 2 mM after
+// it.
+func TestNaNInjectionDropped(t *testing.T) {
+	sol := NewSolution().
+		Set("glucose", phys.MilliMolar(1)).
+		Inject(math.NaN(), "glucose", phys.MilliMolar(1)).
+		Inject(5, "glucose", phys.MilliMolar(1))
+	sm := sol.Sampler("glucose")
+	for _, c := range []struct {
+		at   float64
+		want phys.Concentration
+	}{{0, phys.MilliMolar(1)}, {6, phys.MilliMolar(2)}} {
+		if got := sol.At("glucose", c.at); got != c.want {
+			t.Fatalf("Solution.At(%g) = %v, want %v", c.at, got, c.want)
+		}
+		if got := sm.At(c.at); got != c.want {
+			t.Fatalf("Sampler.At(%g) = %v, want %v", c.at, got, c.want)
+		}
 	}
 }

@@ -133,9 +133,6 @@ func TestGridBounds(t *testing.T) {
 	if n := fine.Cells(); n != maxCells {
 		t.Fatalf("degenerately fine sampling must clamp to %d cells, got %d", maxCells, n)
 	}
-	if got := fine.Substeps(); got != 1 {
-		t.Fatalf("implicit solver must report 1 substep, got %d", got)
-	}
 	// The clamped grids must still produce finite physics.
 	for _, sim := range []*CoupleSim{coarse, fine} {
 		flux := sim.Step(phys.MilliVolts(-400))

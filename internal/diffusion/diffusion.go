@@ -310,11 +310,6 @@ func (s *CoupleSim) SurfaceR() phys.Concentration { return phys.Concentration(s.
 // Cells reports the spatial resolution chosen (for diagnostics/tests).
 func (s *CoupleSim) Cells() int { return len(s.o) }
 
-// Substeps reports the internal substepping factor. The implicit scheme
-// always takes exactly one step per external Dt; the method remains for
-// diagnostic compatibility with the explicit solver it replaced.
-func (s *CoupleSim) Substeps() int { return 1 }
-
 // Current converts a flux density to electrode current for area a:
 // I = −n·F·A·J, negative for net reduction (IUPAC convention: cathodic
 // current negative). Table II reduction peaks therefore appear as minima.

@@ -1,6 +1,12 @@
 package mathx
 
-import "math"
+import (
+	"errors"
+	"math"
+)
+
+// ErrSingular is returned when a linear system has no unique solution.
+var ErrSingular = errors.New("mathx: singular linear system")
 
 // elimOp is one recorded row elimination: row r of the augmented system
 // gets rhs[r] -= f·rhs[col] during the replay.
@@ -9,14 +15,15 @@ type elimOp struct {
 	f   float64
 }
 
-// LSQPlan is a prefactored least-squares problem: the design matrix D
-// of LeastSquares, normalized, squared into the normal equations,
-// ridge-stabilized and LU-factored once, so repeated solves against new
-// observation vectors y cost only the Dᵀy assembly and a triangular
-// replay. The replay applies the exact row operations (same pivots,
-// same multipliers, same order) SolveLinear would perform on the
-// right-hand side, so Solve is bit-identical to
-// LeastSquares(cols, y) — the batched panel kernel depends on that.
+// LSQPlan is a prefactored least-squares problem min ‖D·x − y‖²: the
+// design matrix D, each column normalized to unit RMS, squared into the
+// normal equations DᵀD, stabilized by a 1e-12·m ridge on the diagonal
+// and reduced by Gaussian elimination with partial pivoting once, so
+// repeated solves against new observation vectors y cost only the Dᵀy
+// assembly and a replay of the recorded row operations (same pivots,
+// same multipliers, same order) on the right-hand side.
+// TestLSQPlanMatchesReference holds Solve bit for bit to the one-pass
+// solver that eliminates the augmented system directly.
 //
 // The normalized columns, the factored normal matrix and the recorded
 // eliminations live in flat backings (row views sliced out of one
@@ -35,8 +42,7 @@ type LSQPlan struct {
 }
 
 // NewLSQPlan factors the design matrix given column-wise (cols[k][i] is
-// row i of column k), mirroring LeastSquares's normalization, normal-
-// equation assembly, ridge and elimination arithmetic exactly.
+// row i of column k).
 func NewLSQPlan(cols [][]float64) (*LSQPlan, error) {
 	k := len(cols)
 	if k == 0 {
@@ -76,12 +82,17 @@ func NewLSQPlan(cols [][]float64) (*LSQPlan, error) {
 			ata[i][j] = s
 		}
 	}
+	// A whisper of Tikhonov regularization keeps nearly collinear
+	// columns (e.g. two CV templates with coincident peak potentials)
+	// from blowing up the solve. It must stay tiny: the ridge couples
+	// components, and fitted amplitudes can span nine orders of
+	// magnitude across columns.
 	for i := 0; i < k; i++ {
 		ata[i][i] += 1e-12 * float64(m)
 	}
 	// Factor, recording the pivot swaps and elimination multipliers in
-	// the order SolveLinear applies them to the right-hand side. Row
-	// swaps exchange the row views; the backing stays put.
+	// the order Solve replays them on the right-hand side. Row swaps
+	// exchange the row views; the backing stays put.
 	p.pivots = make([]int, k)
 	p.elims = make([]elimOp, 0, k*(k-1)/2)
 	p.elimOff = make([]int, k+1)
@@ -120,8 +131,7 @@ func (p *LSQPlan) K() int { return p.k }
 // M reports the number of rows each observation vector must have.
 func (p *LSQPlan) M() int { return p.m }
 
-// Solve computes the least-squares coefficients for observation y,
-// bit-identical to LeastSquares(cols, y) on the plan's columns. rhs and
+// Solve computes the least-squares coefficients for observation y. rhs and
 // x are optional scratch slices (grown as needed); the returned slice
 // aliases x's backing array when it is large enough, so a zero-alloc
 // caller passes two reusable k-length buffers.

@@ -47,7 +47,7 @@ func TestTrapezoid(t *testing.T) {
 func TestSolveLinear(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}
-	x, err := SolveLinear(a, b)
+	x, err := solveLinear(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSolveLinear(t *testing.T) {
 
 func TestSolveLinearSingular(t *testing.T) {
 	a := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(a, []float64{1, 2}); err != ErrSingular {
+	if _, err := solveLinear(a, []float64{1, 2}); err != ErrSingular {
 		t.Fatal("singular system must fail")
 	}
 }
@@ -67,7 +67,7 @@ func TestSolveLinearSingular(t *testing.T) {
 func TestSolveLinearNeedsPivot(t *testing.T) {
 	// Leading zero forces a row swap.
 	a := [][]float64{{0, 1}, {1, 0}}
-	x, err := SolveLinear(a, []float64{3, 7})
+	x, err := solveLinear(a, []float64{3, 7})
 	if err != nil || x[0] != 7 || x[1] != 3 {
 		t.Fatalf("pivoted solve: %v, %v", x, err)
 	}
@@ -78,7 +78,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	c0 := []float64{1, 0, 1, 0}
 	c1 := []float64{0, 1, 0, 1}
 	y := []float64{2, 3, 2, 3}
-	x, err := LeastSquares([][]float64{c0, c1}, y)
+	x, err := lsqSolve([][]float64{c0, c1}, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestLeastSquaresScaleInvariance(t *testing.T) {
 		c1[i] = 1.0
 		y[i] = 4e-9*math.Sin(float64(i)) + 2.0
 	}
-	x, err := LeastSquares([][]float64{c0, c1}, y)
+	x, err := lsqSolve([][]float64{c0, c1}, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,4 +119,13 @@ func TestApproxEqualSymmetryProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// lsqSolve factors cols into an LSQPlan and solves it for y.
+func lsqSolve(cols [][]float64, y []float64) ([]float64, error) {
+	plan, err := NewLSQPlan(cols)
+	if err != nil {
+		return nil, err
+	}
+	return plan.Solve(y, nil, nil)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // denseFromBands builds the dense matrix for cross-checking against
-// SolveLinear.
+// solveLinear.
 func denseFromBands(lower, diag, upper []float64) [][]float64 {
 	n := len(diag)
 	a := make([][]float64, n)
@@ -33,7 +33,7 @@ func TestSolveTridiagMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveLinear(denseFromBands(lower, diag, upper), rhs)
+	want, err := solveLinear(denseFromBands(lower, diag, upper), rhs)
 	if err != nil {
 		t.Fatal(err)
 	}

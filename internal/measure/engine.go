@@ -439,7 +439,8 @@ func (e *Engine) RunCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 // CVFluxBasis). The basis must have been computed for the same
 // electrode and protocol. Noise, film background, double layer and
 // digitization are identical to RunCV; only the faradaic term comes
-// from the basis.
+// from the basis, summed by CVFaradaicSum: RunCVWithBasis is
+// CVFaradaicSum followed by RunCVShared.
 //
 //advdiag:hotpath
 func (e *Engine) RunCVWithBasis(weName string, chain *analog.Chain, proto CyclicVoltammetry, basis *CVBasis) (*CVResult, error) {
@@ -447,17 +448,18 @@ func (e *Engine) RunCVWithBasis(weName string, chain *analog.Chain, proto Cyclic
 		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
 		return nil, fmt.Errorf("measure: RunCVWithBasis needs a basis (use RunCV to simulate)")
 	}
-	return e.runCV(weName, chain, proto, basis, nil)
+	faradaic, err := e.CVFaradaicSum(weName, proto, basis, nil)
+	if err != nil {
+		return nil, err
+	}
+	return e.runCV(weName, chain, proto, basis, faradaic)
 }
 
-// RunCVShared is RunCVWithBasis with the per-binding flux scaling
-// replaced by a precomputed summed faradaic trace (see CVFaradaicSum).
-// Replicated electrodes of one sample share the same active bindings,
-// concentrations and factors, so the scaling pass — the only
-// per-binding work of the basis mode — is computed once per
-// construction and reused across the replicas. The result is
-// bit-identical to RunCVWithBasis: the shared trace carries the exact
-// per-step sums the inner loop would have accumulated.
+// RunCVShared is RunCVWithBasis with the summed faradaic trace passed
+// in (see CVFaradaicSum). Replicated electrodes of one sample share the
+// same active bindings, concentrations and factors, so the scaling pass
+// — the only per-binding work of the basis mode — is computed once per
+// construction and reused across the replicas.
 //
 //advdiag:hotpath
 func (e *Engine) RunCVShared(weName string, chain *analog.Chain, proto CyclicVoltammetry, basis *CVBasis, faradaic []float64) (*CVResult, error) {
@@ -472,10 +474,10 @@ func (e *Engine) RunCVShared(weName string, chain *analog.Chain, proto CyclicVol
 	return e.runCV(weName, chain, proto, basis, faradaic)
 }
 
-// CVFaradaicSum precomputes the summed basis-mode faradaic current
-// trace for one electrode and sample: dst[i] = Σ_active factor_b ·
-// flux_b[i], accumulated in exactly the binding order and arithmetic of
-// the RunCVWithBasis inner loop. dst is reused when large enough. The
+// CVFaradaicSum computes the summed basis-mode faradaic current trace
+// for one electrode and sample: dst[i] = Σ_active factor_b · flux_b[i],
+// accumulated in binding order. It is the one place the basis mode
+// scales and sums the bindings. dst is reused when large enough. The
 // engine's RNG is untouched — the active-binding set is a pure function
 // of the solution and the basis.
 //
@@ -578,17 +580,15 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	total := sweep.Duration()
 	n := int(total/dt) + 1
 
-	// One diffusion solver — or one scaled basis trace — per active
-	// binding.
+	// One diffusion solver per active binding when no faradaic trace
+	// is given.
 	type activeBinding struct {
-		b      *enzyme.Binding
-		sim    *diffusion.CoupleSim
-		flux   []float64 // unit flux trace (basis mode)
-		factor float64   // Θ·gain·Current(n, A, C_eff) scale (basis mode)
+		b   *enzyme.Binding
+		sim *diffusion.CoupleSim
 	}
-	// Nanostructure gain degraded by film aging — used by both the
-	// faradaic scaling below and the basis factors here; one site so
-	// the two modes can never diverge.
+	// Nanostructure gain degraded by film aging: it scales the
+	// simulated faradaic current, the blank noise and the film bumps
+	// (CVFaradaicSum applies the same product to the basis factors).
 	gain := we.Gain() * we.Func.StabilityFactor()
 
 	var active []activeBinding
@@ -616,20 +616,6 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 		for _, b := range cyp.Bindings {
 			conc := ch.Solution.At(b.Substrate.Name, 0)
 			if conc <= 0 {
-				continue
-			}
-			if basis != nil {
-				tr := basis.flux[b.Substrate.Name]
-				if len(tr) < n {
-					//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
-					return nil, fmt.Errorf("measure: basis for %s lacks a %s trace", weName, b.Substrate.Name)
-				}
-				ceff := b.EffectiveConcentration(conc)
-				active = append(active, activeBinding{
-					b:      b,
-					flux:   tr,
-					factor: b.Theta * gain * float64(diffusion.Current(b.N, we.Area, float64(ceff))),
-				})
 				continue
 			}
 			sim, err := diffusion.New(diffusion.Config{
@@ -714,12 +700,8 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 		} else {
 			for k := range active {
 				ab := &active[k]
-				if ab.sim != nil {
-					flux := ab.sim.Step(eAct)
-					iF += phys.Current(ab.b.Theta * gain * float64(diffusion.Current(ab.b.N, we.Area, flux)))
-				} else {
-					iF += phys.Current(ab.factor * ab.flux[i])
-				}
+				flux := ab.sim.Step(eAct)
+				iF += phys.Current(ab.b.Theta * gain * float64(diffusion.Current(ab.b.N, we.Area, flux)))
 			}
 		}
 		// Double-layer charging tracks dE/dt.
@@ -771,7 +753,3 @@ func ApplyCDS(signal, blank *trace.Series) (*trace.Series, error) {
 	}
 	return out, nil
 }
-
-// Ensure electrode is referenced (the engine works through cell, but the
-// compile-time type assertions below document chain expectations).
-var _ = electrode.Working

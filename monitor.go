@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"advdiag/internal/analysis"
 	"advdiag/internal/cell"
 	"advdiag/internal/measure"
 	"advdiag/internal/phys"
@@ -191,17 +190,11 @@ func (s *Sensor) RunVoltammetry(sample map[string]float64) (*Voltammogram, error
 	for name, mm := range sample {
 		sol.Set(name, phys.MilliMolar(mm))
 	}
-	eng, chain, we, err := s.build(sol)
-	if err != nil {
-		return nil, err
-	}
 	var peaks []phys.Voltage
 	for _, b := range s.assay.CYP.Bindings {
 		peaks = append(peaks, b.PeakPotential)
 	}
-	start, vertex := measure.CVWindowFor(peaks...)
-	proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
-	res, err := eng.RunCV(we, chain, proto)
+	res, heights, err := s.measureCV(sol, peaks...)
 	if err != nil {
 		return nil, err
 	}
@@ -210,21 +203,11 @@ func (s *Sensor) RunVoltammetry(sample map[string]float64) (*Voltammogram, error
 		out.PotentialsMV = append(out.PotentialsMV, res.Voltammogram.X[i]*1e3)
 		out.CurrentsMicroAmps = append(out.CurrentsMicroAmps, res.Voltammogram.Y[i]*1e6)
 	}
-	// Quantify each binding by template decomposition; positions come
-	// from direct detection when the peak stands on its own, falling
-	// back to the template's known potential for shoulders.
-	_, templates, err := eng.CVTemplates(we, proto)
-	if err != nil {
-		return nil, err
-	}
-	fit, err := analysis.FitCVComponents(res.Voltammogram, templates,
-		rt.FilmNuisances(res.Voltammogram.X, s.assay.CYP)...)
-	if err != nil {
-		return nil, err
-	}
+	// Each binding's height comes from the template decomposition;
+	// positions come from direct detection when the peak stands on its
+	// own, falling back to the template's known potential for shoulders.
 	for _, b := range s.assay.CYP.Bindings {
-		amp := fit.Amplitudes[b.Substrate.Name]
-		height := amp * rt.UnitPeakHeight(templates[b.Substrate.Name])
+		height := heights[b.Substrate.Name]
 		// Report only substrates with a meaningful fitted signal
 		// (above ~3× the per-sample blank noise current).
 		floor := 3 * b.BlankSigmaAt(1) * 0.23e-6

@@ -138,41 +138,56 @@ func (s *Sensor) build(sol *cell.Solution) (*measure.Engine, *analog.Chain, stri
 // (voltammetric sensors).
 func (s *Sensor) MeasureSteadyState(concMM float64) (float64, error) {
 	sol := cell.NewSolution().Set(s.target, phys.MilliMolar(concMM))
-	eng, chain, we, err := s.build(sol)
-	if err != nil {
-		return 0, err
-	}
 	switch s.assay.Technique {
 	case enzyme.Chronoamperometry:
+		eng, chain, we, err := s.build(sol)
+		if err != nil {
+			return 0, err
+		}
 		res, err := eng.RunCA(we, chain, measure.Chronoamperometry{Duration: 120})
 		if err != nil {
 			return 0, err
 		}
 		return res.SteadyCurrent().MicroAmps(), nil
 	case enzyme.CyclicVoltammetry:
-		b := s.assay.Binding
-		start, vertex := measure.CVWindowFor(b.PeakPotential)
-		proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
-		res, err := eng.RunCV(we, chain, proto)
+		_, heights, err := s.measureCV(sol, s.assay.Binding.PeakPotential)
 		if err != nil {
 			return 0, err
 		}
-		// Quantify by template decomposition: amplitude × the unit
-		// template's peak height gives the baseline-corrected cathodic
-		// peak current.
-		_, templates, err := eng.CVTemplates(we, proto)
-		if err != nil {
-			return 0, err
-		}
-		fit, err := analysis.FitCVComponents(res.Voltammogram, templates,
-			rt.FilmNuisances(res.Voltammogram.X, s.assay.CYP)...)
-		if err != nil {
-			return 0, err
-		}
-		unitPeak := rt.UnitPeakHeight(templates[s.target])
-		return fit.Amplitudes[s.target] * unitPeak * 1e6, nil
+		return heights[s.target] * 1e6, nil
 	}
 	return 0, fmt.Errorf("advdiag: unsupported technique")
+}
+
+// measureCV runs one cyclic voltammetry of sol over the window bracketing
+// peaks and quantifies it by template decomposition: each substrate's
+// fitted amplitude times its unit template's peak height is its
+// baseline-corrected cathodic peak current (A), keyed by substrate.
+func (s *Sensor) measureCV(sol *cell.Solution, peaks ...phys.Voltage) (*measure.CVResult, map[string]float64, error) {
+	eng, chain, we, err := s.build(sol)
+	if err != nil {
+		return nil, nil, err
+	}
+	start, vertex := measure.CVWindowFor(peaks...)
+	proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
+	res, err := eng.RunCV(we, chain, proto)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, templates, err := eng.CVTemplates(we, proto)
+	if err != nil {
+		return nil, nil, err
+	}
+	fit, err := analysis.FitCVComponents(res.Voltammogram, templates,
+		rt.FilmNuisances(res.Voltammogram.X, s.assay.CYP)...)
+	if err != nil {
+		return nil, nil, err
+	}
+	heights := make(map[string]float64, len(templates))
+	for name, tpl := range templates {
+		heights[name] = fit.Amplitudes[name] * rt.UnitPeakHeight(tpl)
+	}
+	return res, heights, nil
 }
 
 // FOMReport is a Table III row measured on this sensor.
