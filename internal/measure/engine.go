@@ -422,31 +422,31 @@ type CVResult struct {
 // layer contributes C·dE/dt; blank noise adds on top; the chain
 // digitizes the sum.
 //
-// RunCV simulates the diffusion field of every active binding from
-// scratch. Serving paths that execute the same electrode protocol for
-// many samples should precompute a CVBasis once and use RunCVWithBasis:
-// the diffusion problem is linear in bulk concentration, so the basis'
-// unit flux traces scaled by each sample's effective concentration
-// reproduce the simulation at a fraction of the cost.
-//
-//advdiag:hotpath
+// RunCV is CVFluxBasis through the run's own chain followed by
+// RunCVWithBasis: the diffusion problem is linear in bulk
+// concentration, so each binding's unit flux trace scaled by the
+// sample's effective concentration is its faradaic current. Paths that
+// run one electrode protocol on many samples compute the basis once and
+// call RunCVWithBasis (or RunCVShared) directly.
 func (e *Engine) RunCV(weName string, chain *analog.Chain, proto CyclicVoltammetry) (*CVResult, error) {
-	return e.runCV(weName, chain, proto, nil, nil)
+	basis, err := e.CVFluxBasis(weName, proto, chain)
+	if err != nil {
+		return nil, err
+	}
+	return e.RunCVWithBasis(weName, chain, proto, basis)
 }
 
-// RunCVWithBasis is RunCV with the per-binding diffusion simulations
-// replaced by the precomputed unit flux traces of basis (see
-// CVFluxBasis). The basis must have been computed for the same
-// electrode and protocol. Noise, film background, double layer and
-// digitization are identical to RunCV; only the faradaic term comes
-// from the basis, summed by CVFaradaicSum: RunCVWithBasis is
-// CVFaradaicSum followed by RunCVShared.
+// RunCVWithBasis is RunCV on a precomputed basis (see CVFluxBasis),
+// which must have been computed for the same electrode and protocol.
+// The faradaic term is the basis' unit flux traces summed by
+// CVFaradaicSum; noise, film background, double layer and digitization
+// follow: RunCVWithBasis is CVFaradaicSum followed by RunCVShared.
 //
 //advdiag:hotpath
 func (e *Engine) RunCVWithBasis(weName string, chain *analog.Chain, proto CyclicVoltammetry, basis *CVBasis) (*CVResult, error) {
 	if basis == nil {
 		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
-		return nil, fmt.Errorf("measure: RunCVWithBasis needs a basis (use RunCV to simulate)")
+		return nil, fmt.Errorf("measure: RunCVWithBasis needs a basis (see CVFluxBasis)")
 	}
 	faradaic, err := e.CVFaradaicSum(weName, proto, basis, nil)
 	if err != nil {
@@ -540,6 +540,10 @@ func (e *Engine) CVFaradaicSum(weName string, proto CyclicVoltammetry, basis *CV
 	return dst, nil
 }
 
+// runCV is the one CV run: the given faradaic trace (CVFaradaicSum
+// over basis) plus double-layer charging, blank noise and film
+// background, digitized by the chain.
+//
 //advdiag:hotpath
 func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammetry, basis *CVBasis, faradaic []float64) (*CVResult, error) {
 	defer e.acquire()()
@@ -556,10 +560,6 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 		}
 	}
 	we, err := e.Cell.FindWE(weName)
-	if err != nil {
-		return nil, err
-	}
-	ch, err := e.Cell.ChamberOf(weName)
 	if err != nil {
 		return nil, err
 	}
@@ -580,57 +580,24 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	total := sweep.Duration()
 	n := int(total/dt) + 1
 
-	// One diffusion solver per active binding when no faradaic trace
-	// is given.
-	type activeBinding struct {
-		b   *enzyme.Binding
-		sim *diffusion.CoupleSim
-	}
-	// Nanostructure gain degraded by film aging: it scales the
-	// simulated faradaic current, the blank noise and the film bumps
-	// (CVFaradaicSum applies the same product to the basis factors).
+	// Nanostructure gain degraded by film aging: it scales the blank
+	// noise and the film bumps (CVFaradaicSum applies the same product
+	// to the basis factors).
 	gain := we.Gain() * we.Func.StabilityFactor()
 
-	var active []activeBinding
 	// The sweep grid's potentials and bump shapes come from the basis
 	// when it was computed through this chain's potentiostat, and are
 	// evaluated for this run otherwise.
-	var grid *cvGrid
-	if basis != nil {
-		if err := basis.check(weName, proto); err != nil {
-			return nil, err
-		}
-		if basis.grid.drivenBy(chain.Pstat) {
-			grid = basis.grid
-		}
+	if err := basis.check(weName, proto); err != nil {
+		return nil, err
 	}
-	if grid == nil {
+	grid := basis.grid
+	if !grid.drivenBy(chain.Pstat) {
 		grid = newCVGrid(sweep, dt, n, chain.Pstat, cyp)
 	}
-	if faradaic != nil && len(faradaic) < n {
+	if len(faradaic) < n {
 		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
 		return nil, fmt.Errorf("measure: faradaic trace for %s has %d samples, run needs %d", weName, len(faradaic), n)
-	}
-	if cyp != nil && faradaic == nil {
-		active = make([]activeBinding, 0, len(cyp.Bindings))
-		for _, b := range cyp.Bindings {
-			conc := ch.Solution.At(b.Substrate.Name, 0)
-			if conc <= 0 {
-				continue
-			}
-			sim, err := diffusion.New(diffusion.Config{
-				Kinetics:  b.Kinetics(),
-				Diffusion: b.Substrate.Diffusion,
-				BulkO:     b.EffectiveConcentration(conc),
-				TotalTime: total,
-				Dt:        dt,
-			})
-			if err != nil {
-				//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
-				return nil, fmt.Errorf("measure: CV solver for %s: %w", b.Substrate.Name, err)
-			}
-			active = append(active, activeBinding{b: b, sim: sim})
-		}
 	}
 
 	pot, err := e.newSeries(0, dt, n, "V")
@@ -691,31 +658,19 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	noise.NormFill(rec.Values)
 	prevE := grid.applied[0]
 	for i := 0; i < n; i++ {
-		eProg := grid.prog[i]
 		eAct := grid.applied[i]
-
-		var iF phys.Current
-		if faradaic != nil {
-			iF = phys.Current(faradaic[i])
-		} else {
-			for k := range active {
-				ab := &active[k]
-				flux := ab.sim.Step(eAct)
-				iF += phys.Current(ab.b.Theta * gain * float64(diffusion.Current(ab.b.N, we.Area, flux)))
-			}
-		}
 		// Double-layer charging tracks dE/dt.
 		dEdt := float64(eAct-prevE) / dt
 		iCap := phys.Current(float64(dl.C) * dEdt)
 		prevE = eAct
 
 		iN := phys.Current(sigma * rec.Values[i] * area)
-		i0 := iF + iCap + iN
+		i0 := phys.Current(faradaic[i]) + iCap + iN
 		for k := range bumps {
 			i0 += phys.Current(bumps[k].amp * bumps[k].shape[i])
 		}
 
-		pot.Values[i] = float64(eProg)
+		pot.Values[i] = float64(grid.prog[i])
 		raw.Values[i] = float64(i0)
 	}
 	// Pass 2: the acquisition chain digitizes the whole run.

@@ -150,10 +150,13 @@ func TestGoldenCATrace(t *testing.T) {
 	}))
 }
 
-// TestGoldenCVTrace pins the voltammetric hot path: the CYP2B4
+// TestGoldenCVTrace pins the voltammetric path of referenceRunCV, the
+// per-binding-solver oracle RunCV is checked against: the CYP2B4
 // dual-drug electrode, fixed seed — the diffusion solver, film
 // background bumps, sweep generation, digitization, and the
-// final-cycle voltammogram extraction all feed the hash.
+// final-cycle voltammogram extraction all feed the hash. RunCV itself
+// is pinned to this oracle by TestRunCVMatchesReference and, through
+// RunCVWithBasis, by TestGoldenCVBasisTrace.
 func TestGoldenCVTrace(t *testing.T) {
 	a := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
 	we := electrode.NewWorking("WE1", electrode.Bare, a)
@@ -171,7 +174,7 @@ func TestGoldenCVTrace(t *testing.T) {
 		peaks = append(peaks, b.PeakPotential)
 	}
 	start, vertex := CVWindowFor(peaks...)
-	res, err := eng.RunCV("WE1", chain, CyclicVoltammetry{Start: start, Vertex: vertex})
+	res, err := referenceRunCV(eng, "WE1", chain, CyclicVoltammetry{Start: start, Vertex: vertex})
 	if err != nil {
 		t.Fatal(err)
 	}

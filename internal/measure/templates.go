@@ -110,12 +110,12 @@ func (b *CVBasis) check(weName string, proto CyclicVoltammetry) error {
 
 // CVFluxBasis runs the unit-concentration diffusion simulation of every
 // binding of the named electrode's CYP isoform over the full protocol
-// and records the surface-flux traces. When chain is non-nil the
-// electrode potential driving the simulations is the chain-applied
-// (potentiostat-corrected) potential — pass the electrode's chain to
-// make RunCVWithBasis reproduce what RunCV would have simulated; pass
-// nil to drive with the programmed sweep (the convention of the
-// template fitting side).
+// and records the surface-flux traces. It is the one place a CV
+// diffusion solver is built. When chain is non-nil the electrode
+// potential driving the simulations is the chain-applied
+// (potentiostat-corrected) potential, the drive RunCV uses; nil drives
+// with the programmed sweep. A blank electrode gets an empty basis: it
+// has no bindings, so its runs carry no faradaic current.
 func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *analog.Chain) (*CVBasis, error) {
 	proto = proto.WithDefaults()
 	if err := proto.Validate(); err != nil {
@@ -125,10 +125,15 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	if err != nil {
 		return nil, err
 	}
-	if we.Func.IsBlank() || we.Func.Assay.Technique != enzyme.CyclicVoltammetry {
-		return nil, fmt.Errorf("measure: %s is not a voltammetric electrode", weName)
+	var cyp *enzyme.CYP
+	var bindings []*enzyme.Binding
+	if !we.Func.IsBlank() {
+		if we.Func.Assay.Technique != enzyme.CyclicVoltammetry {
+			return nil, fmt.Errorf("measure: %s is not a voltammetric electrode", weName)
+		}
+		cyp = we.Func.Assay.CYP
+		bindings = cyp.Bindings
 	}
-	cyp := we.Func.Assay.CYP
 
 	sweep := analog.TriangleSweep{Start: proto.Start, Vertex: proto.Vertex, Rate: proto.Rate, Cycles: proto.Cycles}
 	if err := sweep.Validate(); err != nil {
@@ -143,8 +148,8 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 		pstat = chain.Pstat
 	}
 	grid := newCVGrid(sweep, dt, n, pstat, cyp)
-	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(cyp.Bindings)), grid: grid}
-	for _, b := range cyp.Bindings {
+	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(bindings)), grid: grid}
+	for _, b := range bindings {
 		sim, err := diffusion.New(diffusion.Config{
 			Kinetics:  b.Kinetics(),
 			Diffusion: b.Substrate.Diffusion,
