@@ -8,15 +8,14 @@ import (
 	"advdiag/internal/trace"
 )
 
-// FitPlan is the one implementation of the CV template decomposition
-// (FitCVComponents is a one-shot plan). It owns every decision of the
-// fit: templates all but zero over the window (max |value| < 1e-15)
-// are skipped and read zero; the rest are fitted in sorted name order;
-// templates correlated above 0.99 with an earlier one are aliased to it
-// and share its amplitude; the design columns are the representative
-// templates, ones, the grid X, the sweep direction and the nuisance
-// columns, in that order; mathx.LSQPlan solves them; negative
-// amplitudes clamp to zero.
+// FitPlan is the one implementation of the CV template decomposition.
+// It owns every decision of the fit: templates all but zero over the
+// window (max |value| < 1e-15) are skipped and read zero; the rest are
+// fitted in sorted name order; templates correlated above 0.99 with an
+// earlier one are aliased to it and share its amplitude; the design
+// columns are the representative templates, ones, the grid X, the
+// sweep direction and the nuisance columns, in that order;
+// mathx.LSQPlan solves them; negative amplitudes clamp to zero.
 //
 // Everything that depends only on the potential grid, the unit
 // templates and the nuisance columns is computed once per electrode
@@ -46,10 +45,9 @@ type FitScratch struct {
 }
 
 // PlanFit is the outcome of one planned fit. Amplitude looks a
-// template's amplitude up without building a map (FitCVComponents
-// copies the lookups into ComponentFit). The coefficient slice aliases
-// the FitScratch, so a PlanFit is valid only until the scratch's next
-// fit.
+// template's amplitude up without building a map. The coefficient
+// slice aliases the FitScratch, so a PlanFit is valid only until the
+// scratch's next fit.
 type PlanFit struct {
 	plan *FitPlan
 	coef []float64
@@ -74,8 +72,11 @@ func (f *PlanFit) Amplitude(name string) float64 {
 	return amp
 }
 
-// Aliased returns the alias clusters (see ComponentFit.Aliased), nil
-// when nothing aliases. The map is shared plan state — read-only.
+// Aliased returns the alias clusters, nil when nothing aliases: each
+// substrate maps to the others whose templates correlate above 0.99
+// with it (coincident peak potentials, e.g. CYP2B6's
+// bupropion/lidocaine) and share its amplitude. The map is shared plan
+// state — read-only.
 func (f *PlanFit) Aliased() map[string][]string { return f.plan.aliased }
 
 // NewFitPlan builds the plan for one electrode's calibration grid.

@@ -13,6 +13,7 @@ import (
 	"advdiag/internal/enzyme"
 	"advdiag/internal/mathx"
 	"advdiag/internal/phys"
+	"advdiag/internal/trace"
 )
 
 // referenceRunCV is RunCV as it ran before every CV run went through a
@@ -158,6 +159,18 @@ func referenceRunCV(e *Engine, weName string, chain *analog.Chain, proto CyclicV
 	vg.Y = append(vg.Y, cur.Values[first:n]...)
 	return &CVResult{WE: weName, Rate: proto.Rate, Potential: pot, Raw: raw,
 		Recorded: rec, Current: cur, Voltammogram: vg}, nil
+}
+
+// CVTemplates is CVTemplatesFromBasis over a basis driven by the
+// programmed sweep (a nil chain): the template convention the
+// hand-held Sensor fitted with before it shared the runtime's
+// calibration. testdata/cv_templates_cyp2b4.golden pins it.
+func (e *Engine) CVTemplates(weName string, proto CyclicVoltammetry) (*trace.XY, map[string][]float64, error) {
+	basis, err := e.CVFluxBasis(weName, proto, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.CVTemplatesFromBasis(basis)
 }
 
 // firstBitDiff returns the first index at which a and b differ in any

@@ -13,8 +13,8 @@ import (
 
 // finalCycleFirstIndex returns the first sample index of the final full
 // sweep cycle. RunCV's voltammogram and the fitting templates must
-// agree on this boundary sample-for-sample (analysis.FitCVComponents
-// aligns them by position), so both use this one definition.
+// agree on this boundary sample-for-sample (analysis.FitPlan aligns
+// them by position), so both use this one definition.
 func finalCycleFirstIndex(n int, dt, cycleStart float64) int {
 	for i := 0; i < n; i++ {
 		if float64(i)*dt >= cycleStart {
@@ -169,29 +169,20 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	return basis, nil
 }
 
-// CVTemplates computes noise-free unit-concentration voltammetric
-// responses for every binding of the named electrode's CYP isoform,
-// over the same final-cycle grid RunCV's Voltammogram uses.
+// CVTemplatesFromBasis derives the noise-free unit-concentration
+// voltammetric responses of every binding of the basis' electrode over
+// the final-cycle grid RunCV's Voltammogram uses, without re-running
+// any diffusion simulation.
 //
 // Because the diffusion problem is linear in the bulk concentration,
 // the faradaic current of binding b at effective concentration C_eff is
 // exactly C_eff times its unit template. Least-squares fitting of the
-// templates (analysis.FitCVComponents) therefore recovers each
-// substrate's effective concentration even when a small peak rides on a
-// larger neighbouring wave as a mere shoulder — the situation of the
-// CYP2B4 benzphetamine + aminopyrine electrode.
-func (e *Engine) CVTemplates(weName string, proto CyclicVoltammetry) (*trace.XY, map[string][]float64, error) {
-	basis, err := e.CVFluxBasis(weName, proto, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.CVTemplatesFromBasis(basis)
-}
-
-// CVTemplatesFromBasis derives the final-cycle fitting templates from
-// an existing basis without re-running any diffusion simulation. The
-// serving layer uses this to get both the run-time basis and the
-// fitting templates from one set of simulations.
+// templates (analysis.FitPlan) therefore recovers each substrate's
+// effective concentration even when a small peak rides on a larger
+// neighbouring wave as a mere shoulder — the situation of the CYP2B4
+// benzphetamine + aminopyrine electrode. runtime.NewCVCalib gets both
+// the run-time basis and the fitting templates from one set of
+// simulations this way.
 func (e *Engine) CVTemplatesFromBasis(basis *CVBasis) (*trace.XY, map[string][]float64, error) {
 	we, err := e.Cell.FindWE(basis.we)
 	if err != nil {

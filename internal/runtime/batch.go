@@ -58,7 +58,7 @@ func (s *panelScratch) faradaicFor(eng *measure.Engine, weName string, cal *weCa
 	if s.farN < len(s.farVecs) {
 		buf = s.farVecs[s.farN]
 	}
-	vec, err := eng.CVFaradaicSum(weName, cal.proto, cal.basis, buf)
+	vec, err := eng.CVFaradaicSum(weName, cal.Proto, cal.Basis, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +213,7 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 			if err != nil {
 				return Panel{}, err
 			}
-			res, err := eng.RunCVShared(ep.Name, chain, cal.proto, cal.basis, far)
+			res, err := eng.RunCVShared(ep.Name, chain, cal.Proto, cal.Basis, far)
 			if err != nil {
 				return Panel{}, err
 			}
@@ -221,7 +221,7 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 			// (bit-identical to FitCVComponents on the cached
 			// templates); scan the voltammogram's reduction peaks once
 			// and report per-assay peak potentials from the scan.
-			fit, err := cal.fitPlan.Fit(res.Voltammogram, &s.fit)
+			fit, err := cal.Plan.Fit(res.Voltammogram, &s.fit)
 			if err != nil {
 				return Panel{}, fmt.Errorf("advdiag: %s: %w", ep.Name, err)
 			}
@@ -232,7 +232,7 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 				if fault != nil && fault.matches(a.Target.Name) {
 					amp = fault.perturb(amp, seed, a.Target.Name)
 				}
-				height := amp * cal.unitPeak[a.Target.Name]
+				height := amp * cal.UnitPeak[a.Target.Name]
 				est := InvertEffective(b, amp)
 				peakMV := 0.0
 				if scanned {

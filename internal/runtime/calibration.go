@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"advdiag/internal/analog"
 	"advdiag/internal/analysis"
 	"advdiag/internal/core"
 	"advdiag/internal/enzyme"
@@ -23,36 +24,73 @@ const PlatformElectrodeArea = 0.23e-6
 // weCalib is the per-electrode calibration state a panel run needs to
 // turn raw currents into concentration estimates. All of it is
 // deterministic and noise-free, so one copy can serve any number of
-// concurrent panel runs read-only:
-//
-//   - chronoamperometry: the Michaelis–Menten inversion constants of
-//     the probe's factory calibration (slope, saturation current, Km);
-//   - cyclic voltammetry: the CV window bracketing the electrode's
-//     peaks, the unit-concentration voltammetric templates (each one a
-//     full diffusion simulation — the expensive part RunPanel used to
-//     re-derive on every call), their cathodic unit peak heights, and
-//     the film-background nuisance columns on the template grid.
+// concurrent panel runs read-only: the Michaelis–Menten inversion
+// constants of a chronoamperometric probe's factory calibration, or a
+// voltammetric electrode's CVCalib.
 type weCalib struct {
 	// Chronoamperometry inversion constants.
 	caIMax float64 // saturation current, A
 	caKm   float64 // Michaelis constant, mol/m³
 
-	// Cyclic voltammetry calibration.
-	proto     measure.CyclicVoltammetry
-	templates map[string][]float64
-	unitPeak  map[string]float64
-	nuisances [][]float64
-	// fitPlan prefactors the template decomposition (columns, alias
-	// clusters, least-squares elimination) over the calibration grid so
-	// the per-sample fit is a single right-hand-side solve — see
-	// analysis.FitPlan. Immutable, shared read-only.
-	fitPlan *analysis.FitPlan
-	// basis holds the full-length unit flux traces behind the
-	// templates; Executor.Run feeds it to measure.RunCVWithBasis so the
-	// per-sample hot path scales cached traces instead of re-running
-	// the diffusion solver. Immutable after warm-up, shared read-only
-	// by every concurrent panel run.
-	basis *measure.CVBasis
+	// Cyclic voltammetry calibration (nil on chronoamperometric
+	// electrodes).
+	*CVCalib
+}
+
+// CVCalib is the calibration of one voltammetric electrode
+// construction over one CV window. The diffusion simulations behind it
+// depend only on the construction and the protocol, never on a sample,
+// so it is computed once and shared read-only by every run: the panel
+// runtime keeps one per electrode construction, the hand-held Sensor
+// one per window.
+type CVCalib struct {
+	// Proto is the CV protocol over the window bracketing the peaks.
+	Proto measure.CyclicVoltammetry
+	// Basis holds the unit flux traces of every binding, driven by the
+	// chain-applied potential; measure.RunCVWithBasis (or RunCVShared)
+	// scales them per sample instead of re-running the solver.
+	Basis *measure.CVBasis
+	// UnitPeak maps each substrate to the cathodic peak height of its
+	// unit template: a fitted amplitude times it is the substrate's
+	// baseline-corrected peak current (A).
+	UnitPeak map[string]float64
+	// Plan prefactors the template decomposition (the unit templates
+	// from Basis, film-background nuisance columns, alias clusters,
+	// least-squares elimination) so each fit is one right-hand-side
+	// solve. Each caller passes its own analysis.FitScratch.
+	Plan *analysis.FitPlan
+}
+
+// NewCVCalib calibrates the named voltammetric electrode of eng's cell
+// over the CV window bracketing peaks. The basis is driven through
+// chain's potentiostat, as the electrode's runs are, so its templates
+// and the measured traces share one applied-potential axis. It runs
+// one unit diffusion simulation per binding and draws no noise: eng's
+// random stream does not move.
+func NewCVCalib(eng *measure.Engine, weName string, chain *analog.Chain, peaks ...phys.Voltage) (*CVCalib, error) {
+	start, vertex := measure.CVWindowFor(peaks...)
+	proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
+	basis, err := eng.CVFluxBasis(weName, proto, chain)
+	if err != nil {
+		return nil, err
+	}
+	grid, templates, err := eng.CVTemplatesFromBasis(basis)
+	if err != nil {
+		return nil, err
+	}
+	we, err := eng.Cell.FindWE(weName)
+	if err != nil {
+		return nil, err
+	}
+	c := &CVCalib{Proto: proto, Basis: basis, UnitPeak: make(map[string]float64, len(templates))}
+	for name, tpl := range templates {
+		c.UnitPeak[name] = unitPeakHeight(tpl)
+	}
+	c.Plan, err = analysis.NewFitPlan(grid.X, templates, FilmNuisances(grid.X, we.Func.Assay.CYP)...)
+	if err != nil {
+		return nil, fmt.Errorf("advdiag: electrode %s fit plan: %w", weName, err)
+	}
+	return c, nil
 }
 
 // invertCA converts a baseline-subtracted steady current into a bulk
@@ -142,10 +180,9 @@ func (cc *cache) forElectrode(ep core.ElectrodePlan) (*weCalib, error) {
 	return c, nil
 }
 
-// compute derives the calibration state from the platform design. For
-// voltammetric electrodes this runs the unit-concentration diffusion
-// simulations (measure.CVFluxBasis) once, over a throwaway buffer-only
-// cell — the templates depend only on the electrode construction, not
+// compute derives the calibration state from the platform design. A
+// voltammetric electrode's CVCalib is computed over a throwaway
+// buffer-only cell: it depends only on the electrode construction, not
 // on any sample.
 func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
 	c := &weCalib{}
@@ -160,8 +197,6 @@ func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
 		for _, a := range ep.Assays {
 			peaks = append(peaks, a.Binding.PeakPotential)
 		}
-		start, vertex := measure.CVWindowFor(peaks...)
-		c.proto = measure.CyclicVoltammetry{Start: start, Vertex: vertex}
 		blank, err := cc.e.inner.Instantiate(nil)
 		if err != nil {
 			return nil, err
@@ -170,34 +205,12 @@ func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
 		if err != nil {
 			return nil, err
 		}
-		// One set of unit diffusion simulations yields both the
-		// run-time flux basis and the fitting templates. The basis is
-		// driven by the chain-applied (potentiostat-corrected)
-		// potential — exactly what a per-sample RunCV would have
-		// simulated — so templates and measured traces share one
-		// potential axis.
 		chain, err := cc.e.inner.ChainFor(ep.Name, eng.RNG())
 		if err != nil {
 			return nil, err
 		}
-		basis, err := eng.CVFluxBasis(ep.Name, c.proto, chain)
-		if err != nil {
+		if c.CVCalib, err = NewCVCalib(eng, ep.Name, chain, peaks...); err != nil {
 			return nil, err
-		}
-		grid, templates, err := eng.CVTemplatesFromBasis(basis)
-		if err != nil {
-			return nil, err
-		}
-		c.basis = basis
-		c.templates = templates
-		c.unitPeak = make(map[string]float64, len(templates))
-		for name, tpl := range templates {
-			c.unitPeak[name] = UnitPeakHeight(tpl)
-		}
-		c.nuisances = FilmNuisances(grid.X, ep.Assays[0].CYP)
-		c.fitPlan, err = analysis.NewFitPlan(grid.X, templates, c.nuisances...)
-		if err != nil {
-			return nil, fmt.Errorf("advdiag: electrode %s fit plan: %w", ep.Name, err)
 		}
 	default:
 		return nil, fmt.Errorf("advdiag: electrode %s has unsupported technique %v", ep.Name, ep.Technique)
@@ -225,9 +238,9 @@ func (cc *cache) counts() (hits, misses uint64) {
 	return cc.hits.Load(), cc.misses.Load()
 }
 
-// UnitPeakHeight returns the cathodic peak magnitude of a unit
+// unitPeakHeight returns the cathodic peak magnitude of a unit
 // template (templates are IUPAC currents: reduction negative).
-func UnitPeakHeight(tpl []float64) float64 {
+func unitPeakHeight(tpl []float64) float64 {
 	peak := 0.0
 	for _, v := range tpl {
 		if -v > peak {

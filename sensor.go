@@ -28,6 +28,10 @@ type Sensor struct {
 	// rng persists across measurements so repeated blanks draw fresh
 	// (but reproducible) noise — required for a meaningful blank σ.
 	rng *mathx.RNG
+	// cv holds the voltammetric calibrations, one per CV window, and fit
+	// is the template fit's reused scratch.
+	cv  map[cvKey]*rt.CVCalib
+	fit analysis.FitScratch
 }
 
 // SensorOption customizes a Sensor.
@@ -77,7 +81,7 @@ func NewSensor(target string, opts ...SensorOption) (*Sensor, error) {
 	if len(assays) == 0 {
 		return nil, fmt.Errorf("advdiag: no registered probe senses %q", target)
 	}
-	s := &Sensor{target: target, assay: assays[0], seed: 1}
+	s := &Sensor{target: target, assay: assays[0], seed: 1, cv: map[cvKey]*rt.CVCalib{}}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -168,26 +172,52 @@ func (s *Sensor) measureCV(sol *cell.Solution, peaks ...phys.Voltage) (*measure.
 	if err != nil {
 		return nil, nil, err
 	}
-	start, vertex := measure.CVWindowFor(peaks...)
-	proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
-	res, err := eng.RunCV(we, chain, proto)
+	cal, err := s.cvCalib(eng, we, chain, peaks)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, templates, err := eng.CVTemplates(we, proto)
+	fitCal, err := s.cvCalib(eng, we, nil, peaks)
 	if err != nil {
 		return nil, nil, err
 	}
-	fit, err := analysis.FitCVComponents(res.Voltammogram, templates,
-		rt.FilmNuisances(res.Voltammogram.X, s.assay.CYP)...)
+	res, err := eng.RunCVWithBasis(we, chain, cal.Proto, cal.Basis)
 	if err != nil {
 		return nil, nil, err
 	}
-	heights := make(map[string]float64, len(templates))
-	for name, tpl := range templates {
-		heights[name] = fit.Amplitudes[name] * rt.UnitPeakHeight(tpl)
+	fit, err := fitCal.Plan.Fit(res.Voltammogram, &s.fit)
+	if err != nil {
+		return nil, nil, err
+	}
+	heights := make(map[string]float64, len(fitCal.UnitPeak))
+	for name, peak := range fitCal.UnitPeak {
+		heights[name] = fit.Amplitude(name) * peak
 	}
 	return res, heights, nil
+}
+
+// cvKey identifies one of a Sensor's CV calibrations: the window, and
+// whether its basis is driven through the chain.
+type cvKey struct {
+	start, vertex phys.Voltage
+	applied       bool
+}
+
+// cvCalib returns the sensor's calibration for the CV window bracketing
+// peaks, computing it on first use from this measurement's engine and
+// chain. The calibration draws no noise, so computing it leaves the
+// sensor's noise stream where it was.
+func (s *Sensor) cvCalib(eng *measure.Engine, we string, chain *analog.Chain, peaks []phys.Voltage) (*rt.CVCalib, error) {
+	start, vertex := measure.CVWindowFor(peaks...)
+	key := cvKey{start, vertex, chain != nil}
+	if cal, ok := s.cv[key]; ok {
+		return cal, nil
+	}
+	cal, err := rt.NewCVCalib(eng, we, chain, peaks...)
+	if err != nil {
+		return nil, err
+	}
+	s.cv[key] = cal
+	return cal, nil
 }
 
 // FOMReport is a Table III row measured on this sensor.
