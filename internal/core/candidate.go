@@ -124,6 +124,28 @@ var cvMargin = phys.MilliVolts(250)
 // defaultCVRate is the platform sweep rate (the paper's ~20 mV/s limit).
 var defaultCVRate = phys.MilliVoltsPerSecond(20)
 
+// CitedNano returns the electrode treatment of the probe's cited
+// construction: carbon nanotubes when its published operating point
+// carries a nanostructure gain, bare otherwise.
+func CitedNano(a enzyme.Assay) electrode.Nanostructure {
+	if a.Perf().NanostructureGain > 1 {
+		return electrode.CNT
+	}
+	return electrode.Bare
+}
+
+// SingleReadout returns the catalog readout the explorer would choose
+// for a lone working electrode carrying assay a on the given surface
+// treatment — the readout of a hand-held sensor or a long-term probe.
+func SingleReadout(a enzyme.Assay, nano electrode.Nanostructure) (ReadoutClass, error) {
+	plan := ElectrodePlan{Name: "WE1", Nano: nano, Assays: []enzyme.Assay{a},
+		Specs: []TargetSpec{{Species: a.Target.Name}}, Technique: a.Technique}
+	if err := plan.PlanCurrents(); err != nil {
+		return ReadoutClass{}, err
+	}
+	return SelectReadout(plan.MaxCurrent, plan.ResRequired)
+}
+
 // PlanCurrents fills MaxCurrent, ResRequired and ProtocolTime from the
 // plan's assays and target envelopes.
 func (p *ElectrodePlan) PlanCurrents() error {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"advdiag/internal/electrode"
 	"advdiag/internal/enzyme"
 	"advdiag/internal/phys"
 )
@@ -229,6 +230,24 @@ func TestSelectReadout(t *testing.T) {
 	// Impossible resolution.
 	if _, err := SelectReadout(phys.MicroAmps(50), phys.Current(1e-12)); err == nil {
 		t.Fatal("1 pA resolution must be unsatisfiable")
+	}
+}
+
+// TestSingleReadoutCoversEveryAssay pins that a lone electrode of every
+// registered assay, bare or nanostructured, has a catalog readout, so
+// NewSensor and longterm.NewProber, which compute it once at
+// construction, never fail there for a registered probe.
+func TestSingleReadoutCoversEveryAssay(t *testing.T) {
+	assays := enzyme.AllAssays()
+	if len(assays) != 15 {
+		t.Fatalf("%d registered assays, want 15", len(assays))
+	}
+	for _, a := range assays {
+		for _, nano := range []electrode.Nanostructure{electrode.Bare, electrode.CNT} {
+			if _, err := SingleReadout(a, nano); err != nil {
+				t.Errorf("%s on %s: %v", a, nano, err)
+			}
+		}
 	}
 }
 

@@ -500,16 +500,12 @@ func planElectrodeSet(req Requirements, choice Choice) ([]ElectrodePlan, error) 
 		if !ok || (a.Oxidase == nil && a.CYP == nil) {
 			return nil, fmt.Errorf("core: choice assigns no assay to target %q", t.Species)
 		}
-		nano := electrode.Bare
-		if a.Perf().NanostructureGain > 1 {
-			nano = electrode.CNT
-		}
 		k := len(assayChunk)
 		assayChunk = append(assayChunk, a)
 		specChunk = append(specChunk, t)
 		plan := ElectrodePlan{
 			Name:      name(),
-			Nano:      nano,
+			Nano:      CitedNano(a),
 			Assays:    assayChunk[k : k+1 : k+1],
 			Specs:     specChunk[k : k+1 : k+1],
 			Technique: a.Technique,

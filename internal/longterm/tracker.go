@@ -22,6 +22,7 @@ type Prober struct {
 	target  string
 	assay   enzyme.Assay
 	nano    electrode.Nanostructure
+	readout core.ReadoutClass
 	polymer bool
 	seed    uint64
 }
@@ -39,11 +40,12 @@ func NewProber(target string, polymer bool, seed uint64) (*Prober, error) {
 	if !found {
 		return nil, fmt.Errorf("longterm: no chronoamperometric probe for %q", target)
 	}
-	nano := electrode.Bare
-	if assay.Perf().NanostructureGain > 1 {
-		nano = electrode.CNT
+	nano := core.CitedNano(assay)
+	readout, err := core.SingleReadout(assay, nano)
+	if err != nil {
+		return nil, err
 	}
-	return &Prober{target: target, assay: assay, nano: nano, polymer: polymer, seed: seed}, nil
+	return &Prober{target: target, assay: assay, nano: nano, readout: readout, polymer: polymer, seed: seed}, nil
 }
 
 // MeasureAt runs one two-phase reading at the given film age and
@@ -61,16 +63,7 @@ func (p *Prober) MeasureAt(ageHours, concMM float64) (phys.Current, error) {
 	if err != nil {
 		return 0, err
 	}
-	plan := core.ElectrodePlan{Name: "WE1", Nano: p.nano, Assays: []enzyme.Assay{p.assay},
-		Specs: []core.TargetSpec{{Species: p.target}}, Technique: p.assay.Technique}
-	if err := plan.PlanCurrents(); err != nil {
-		return 0, err
-	}
-	rc, err := core.SelectReadout(plan.MaxCurrent, plan.ResRequired)
-	if err != nil {
-		return 0, err
-	}
-	chain := rc.NewChain(nil, eng.RNG())
+	chain := p.readout.NewChain(nil, eng.RNG())
 	res, err := eng.RunCA("WE1", chain, measure.Chronoamperometry{
 		Duration: 90, BaselinePhase: 15,
 	})

@@ -23,6 +23,9 @@ type Sensor struct {
 	assay   enzyme.Assay
 	nano    electrode.Nanostructure
 	nanoSet bool
+	// readout is the catalog readout the explorer would choose for this
+	// electrode (core.SingleReadout), fixed at construction.
+	readout core.ReadoutClass
 	seed    uint64
 	chopper bool
 	// rng persists across measurements so repeated blanks draw fresh
@@ -85,17 +88,15 @@ func NewSensor(target string, opts ...SensorOption) (*Sensor, error) {
 	for _, opt := range opts {
 		opt(s)
 	}
+	if !s.nanoSet {
+		s.nano = core.CitedNano(s.assay)
+	}
+	var err error
+	if s.readout, err = core.SingleReadout(s.assay, s.nano); err != nil {
+		return nil, err
+	}
 	s.rng = mathx.NewRNG(s.seed)
 	return s, nil
-}
-
-// citedNano returns the electrode treatment matching the probe's cited
-// construction.
-func citedNano(a enzyme.Assay) electrode.Nanostructure {
-	if a.Perf().NanostructureGain > 1 {
-		return electrode.CNT
-	}
-	return electrode.Bare
 }
 
 // Probe returns the probe name in use.
@@ -107,29 +108,13 @@ func (s *Sensor) Technique() string { return s.assay.Technique.String() }
 // build assembles the cell and engine for a given sample concentration
 // profile.
 func (s *Sensor) build(sol *cell.Solution) (*measure.Engine, *analog.Chain, string, error) {
-	nano := citedNano(s.assay)
-	if s.nanoSet {
-		nano = s.nano
-	}
-	we := electrode.NewWorking("WE1", nano, s.assay)
+	we := electrode.NewWorking("WE1", s.nano, s.assay)
 	c := cell.NewSingleChamber(sol, we, electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
 	eng, err := measure.NewEngine(c, s.rng.Uint64())
 	if err != nil {
 		return nil, nil, "", err
 	}
-	// Pick the catalog readout the explorer would choose for this
-	// electrode.
-	spec := core.TargetSpec{Species: s.target}
-	plan := core.ElectrodePlan{Name: "WE1", Nano: nano, Assays: []enzyme.Assay{s.assay},
-		Specs: []core.TargetSpec{spec}, Technique: s.assay.Technique}
-	if err := plan.PlanCurrents(); err != nil {
-		return nil, nil, "", err
-	}
-	rc, err := core.SelectReadout(plan.MaxCurrent, plan.ResRequired)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	chain := rc.NewChain(nil, eng.RNG())
+	chain := s.readout.NewChain(nil, eng.RNG())
 	if s.chopper {
 		chain.Noise.EnableChopper(true)
 	}
