@@ -33,7 +33,7 @@ type Sensor struct {
 	rng *mathx.RNG
 	// cv holds the voltammetric calibrations, one per CV window, and fit
 	// is the template fit's reused scratch.
-	cv  map[cvKey]*rt.CVCalib
+	cv  map[[2]phys.Voltage]*rt.CVCalib
 	fit analysis.FitScratch
 }
 
@@ -84,7 +84,7 @@ func NewSensor(target string, opts ...SensorOption) (*Sensor, error) {
 	if len(assays) == 0 {
 		return nil, fmt.Errorf("advdiag: no registered probe senses %q", target)
 	}
-	s := &Sensor{target: target, assay: assays[0], seed: 1, cv: map[cvKey]*rt.CVCalib{}}
+	s := &Sensor{target: target, assay: assays[0], seed: 1, cv: map[[2]phys.Voltage]*rt.CVCalib{}}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -161,30 +161,19 @@ func (s *Sensor) measureCV(sol *cell.Solution, peaks ...phys.Voltage) (*measure.
 	if err != nil {
 		return nil, nil, err
 	}
-	fitCal, err := s.cvCalib(eng, we, nil, peaks)
-	if err != nil {
-		return nil, nil, err
-	}
 	res, err := eng.RunCVWithBasis(we, chain, cal.Proto, cal.Basis)
 	if err != nil {
 		return nil, nil, err
 	}
-	fit, err := fitCal.Plan.Fit(res.Voltammogram, &s.fit)
+	fit, err := cal.Plan.Fit(res.Voltammogram, &s.fit)
 	if err != nil {
 		return nil, nil, err
 	}
-	heights := make(map[string]float64, len(fitCal.UnitPeak))
-	for name, peak := range fitCal.UnitPeak {
+	heights := make(map[string]float64, len(cal.UnitPeak))
+	for name, peak := range cal.UnitPeak {
 		heights[name] = fit.Amplitude(name) * peak
 	}
 	return res, heights, nil
-}
-
-// cvKey identifies one of a Sensor's CV calibrations: the window, and
-// whether its basis is driven through the chain.
-type cvKey struct {
-	start, vertex phys.Voltage
-	applied       bool
 }
 
 // cvCalib returns the sensor's calibration for the CV window bracketing
@@ -193,7 +182,7 @@ type cvKey struct {
 // sensor's noise stream where it was.
 func (s *Sensor) cvCalib(eng *measure.Engine, we string, chain *analog.Chain, peaks []phys.Voltage) (*rt.CVCalib, error) {
 	start, vertex := measure.CVWindowFor(peaks...)
-	key := cvKey{start, vertex, chain != nil}
+	key := [2]phys.Voltage{start, vertex}
 	if cal, ok := s.cv[key]; ok {
 		return cal, nil
 	}
