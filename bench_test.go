@@ -12,6 +12,7 @@ package advdiag_test
 import (
 	"testing"
 
+	"advdiag"
 	"advdiag/internal/experiments"
 )
 
@@ -58,6 +59,28 @@ func BenchmarkTableIII_FiguresOfMerit(b *testing.B) {
 		"glucose_S", "lactate_S", "glutamate_S",
 		"benzphetamine_S", "aminopyrine_S", "cholesterol_S",
 		"glucose_LOD_uM", "glucose_hi_mM")
+}
+
+// BenchmarkSensorMeasureCV measures one voltammetric reading on a
+// hand-held benzphetamine sensor at 0.5 mM: the CV run on the sensor's
+// cached flux basis plus the template fit, the unit of work Table III's
+// CYP calibrations repeat (the calibration itself is computed by the
+// first call, outside the timer).
+func BenchmarkSensorMeasureCV(b *testing.B) {
+	s, err := advdiag.NewSensor("benzphetamine")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.MeasureSteadyState(0.5); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.MeasureSteadyState(0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFig1_PotentiostatTIA exercises the Fig. 1 block: potentiostat

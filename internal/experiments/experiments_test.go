@@ -56,9 +56,6 @@ func TestTableIIWithinTwoMillivolts(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full calibrations are slow")
-	}
 	res, err := TableIII()
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +112,6 @@ func TestFig3TimeResponse(t *testing.T) {
 }
 
 func TestFig4PanelAccuracy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full panel is slow")
-	}
 	res, err := Fig4()
 	if err != nil {
 		t.Fatal(err)
@@ -153,9 +147,6 @@ func TestSweepRateMonotoneDegradation(t *testing.T) {
 }
 
 func TestNoiseAblationChopper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibrations are slow")
-	}
 	res, err := NoiseAblation()
 	if err != nil {
 		t.Fatal(err)
@@ -193,9 +184,6 @@ func TestTimeBasedReadoutLinearity(t *testing.T) {
 }
 
 func TestLongTermDriftOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaigns are slow")
-	}
 	res, err := LongTermDrift()
 	if err != nil {
 		t.Fatal(err)

@@ -74,9 +74,6 @@ func TestRunConcurrentMatchesSerial(t *testing.T) {
 }
 
 func TestRunAllShort(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full E1–E16 sweep is slow")
-	}
 	results, err := RunAll(0)
 	if err != nil {
 		t.Fatal(err)

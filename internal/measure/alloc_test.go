@@ -153,9 +153,10 @@ func TestRunCAUnknownSpeciesError(t *testing.T) {
 	}
 }
 
-// TestRunCVBasisMatchesSimulation checks the linearity substitution the
-// serving layer relies on: a basis-driven run reproduces the simulated
-// run to solver tolerance (same noise stream, same protocol).
+// TestRunCVBasisMatchesSimulation checks the linearity substitution
+// every CV run relies on: a run on a programmed-drive basis reproduces
+// the per-binding simulation of referenceRunCV to solver tolerance
+// (same noise stream, same protocol).
 func TestRunCVBasisMatchesSimulation(t *testing.T) {
 	a := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
 	var peaks []phys.Voltage
@@ -178,7 +179,7 @@ func TestRunCVBasisMatchesSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	simRes, err := engSim.RunCV("WE1", analog.NewNanoChain(nil, engSim.RNG()), proto)
+	simRes, err := referenceRunCV(engSim, "WE1", analog.NewNanoChain(nil, engSim.RNG()), proto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,9 +206,9 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 				TrueMM:            sample[a.Target.Name],
 			})
 		case enzyme.CyclicVoltammetry:
-			// The cached basis replaces the per-sample diffusion
-			// simulations; the per-sample flux scaling pass is computed
-			// once per construction and shared across replicas.
+			// The cached basis stands in for the diffusion simulations;
+			// the per-sample flux scaling pass is computed once per
+			// construction and shared across replicas.
 			far, err := s.faradaicFor(eng, ep.Name, cal)
 			if err != nil {
 				return Panel{}, err
@@ -217,9 +217,9 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 			if err != nil {
 				return Panel{}, err
 			}
-			// Quantify against the prefactored template decomposition
-			// (bit-identical to FitCVComponents on the cached
-			// templates); scan the voltammogram's reduction peaks once
+			// Quantify against the calibration's prefactored template
+			// decomposition (the same CVCalib.Plan the hand-held Sensor
+			// fits with); scan the voltammogram's reduction peaks once
 			// and report per-assay peak potentials from the scan.
 			fit, err := cal.Plan.Fit(res.Voltammogram, &s.fit)
 			if err != nil {

@@ -6,8 +6,9 @@
 //     physically plausible, registered species);
 //   - deterministic per-sample seeding (SampleSeed — a splitmix64 mix
 //     of a base seed and the sample index);
-//   - calibration-cache access (the per-electrode inversion constants,
-//     unit CV templates and flux bases, computed once per platform);
+//   - calibration-cache access (the per-electrode inversion constants
+//     and CV calibrations — flux basis, unit peaks, fit plan — computed
+//     once per platform; the hand-held Sensor builds the same CVCalib);
 //   - panel assembly (Executor.Run — protocol dispatch, template
 //     decomposition, replica merging, concentration inversion).
 //

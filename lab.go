@@ -51,7 +51,7 @@ type PanelOutcome struct {
 // Lab is a reusable, concurrent panel-execution service over a designed
 // Platform — the run-time counterpart of the design-time explorer. A
 // Lab precomputes the platform's per-electrode calibration state once
-// (unit voltammetric templates, Michaelis–Menten inversion constants)
+// (CV calibrations, Michaelis–Menten inversion constants)
 // and then runs batches on a bounded set of workers. All execution
 // logic lives in internal/runtime; the Lab adds batching, scheduling
 // and statistics.

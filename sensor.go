@@ -152,14 +152,22 @@ func (s *Sensor) MeasureSteadyState(concMM float64) (float64, error) {
 // peaks and quantifies it by template decomposition: each substrate's
 // fitted amplitude times its unit template's peak height is its
 // baseline-corrected cathodic peak current (A), keyed by substrate.
+// The window's calibration is computed on first use from this
+// measurement's engine and chain; it draws no noise, so the sensor's
+// noise stream does not move.
 func (s *Sensor) measureCV(sol *cell.Solution, peaks ...phys.Voltage) (*measure.CVResult, map[string]float64, error) {
 	eng, chain, we, err := s.build(sol)
 	if err != nil {
 		return nil, nil, err
 	}
-	cal, err := s.cvCalib(eng, we, chain, peaks)
-	if err != nil {
-		return nil, nil, err
+	start, vertex := measure.CVWindowFor(peaks...)
+	window := [2]phys.Voltage{start, vertex}
+	cal := s.cv[window]
+	if cal == nil {
+		if cal, err = rt.NewCVCalib(eng, we, chain, peaks...); err != nil {
+			return nil, nil, err
+		}
+		s.cv[window] = cal
 	}
 	res, err := eng.RunCVWithBasis(we, chain, cal.Proto, cal.Basis)
 	if err != nil {
@@ -174,24 +182,6 @@ func (s *Sensor) measureCV(sol *cell.Solution, peaks ...phys.Voltage) (*measure.
 		heights[name] = fit.Amplitude(name) * peak
 	}
 	return res, heights, nil
-}
-
-// cvCalib returns the sensor's calibration for the CV window bracketing
-// peaks, computing it on first use from this measurement's engine and
-// chain. The calibration draws no noise, so computing it leaves the
-// sensor's noise stream where it was.
-func (s *Sensor) cvCalib(eng *measure.Engine, we string, chain *analog.Chain, peaks []phys.Voltage) (*rt.CVCalib, error) {
-	start, vertex := measure.CVWindowFor(peaks...)
-	key := [2]phys.Voltage{start, vertex}
-	if cal, ok := s.cv[key]; ok {
-		return cal, nil
-	}
-	cal, err := rt.NewCVCalib(eng, we, chain, peaks...)
-	if err != nil {
-		return nil, err
-	}
-	s.cv[key] = cal
-	return cal, nil
 }
 
 // FOMReport is a Table III row measured on this sensor.
