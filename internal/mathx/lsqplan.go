@@ -143,14 +143,7 @@ func (p *LSQPlan) Solve(y []float64, rhs, x []float64) ([]float64, error) {
 		rhs = make([]float64, p.k)
 	}
 	rhs = rhs[:p.k]
-	for i := 0; i < p.k; i++ {
-		s := 0.0
-		ni := p.norm[i]
-		for r := 0; r < p.m; r++ {
-			s += ni[r] * y[r]
-		}
-		rhs[i] = s
-	}
+	p.project(y, rhs)
 	// Replay the recorded row operations on the right-hand side.
 	for col := 0; col < p.k; col++ {
 		if pv := p.pivots[col]; pv != col {
@@ -175,4 +168,33 @@ func (p *LSQPlan) Solve(y []float64, rhs, x []float64) ([]float64, error) {
 		x[i] /= p.scale[i]
 	}
 	return x, nil
+}
+
+// project writes Dᵀy, over the normalized columns, into rhs. One sweep
+// of y feeds four columns, each into its own accumulator; every sum
+// still runs s += n[r]*y[r] over the rows in order from 0, so each
+// entry keeps the bits of a one-column loop (TestLSQPlanSolveMatchesReference),
+// on architectures that fuse the multiply-add too.
+func (p *LSQPlan) project(y, rhs []float64) {
+	y = y[:p.m]
+	i := 0
+	for ; i+4 <= p.k; i += 4 {
+		n0, n1, n2, n3 := p.norm[i][:len(y)], p.norm[i+1][:len(y)], p.norm[i+2][:len(y)], p.norm[i+3][:len(y)]
+		var s0, s1, s2, s3 float64
+		for r, yr := range y {
+			s0 += n0[r] * yr
+			s1 += n1[r] * yr
+			s2 += n2[r] * yr
+			s3 += n3[r] * yr
+		}
+		rhs[i], rhs[i+1], rhs[i+2], rhs[i+3] = s0, s1, s2, s3
+	}
+	for ; i < p.k; i++ {
+		ni := p.norm[i][:len(y)]
+		s := 0.0
+		for r, yr := range y {
+			s += ni[r] * yr
+		}
+		rhs[i] = s
+	}
 }

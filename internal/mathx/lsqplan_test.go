@@ -200,3 +200,64 @@ func TestLSQPlanMatchesReference(t *testing.T) {
 		t.Fatalf("design mix hit %d singular and %d solved cases; want both kinds", singular, solved)
 	}
 }
+
+// projectReference is the one-column-per-sweep Dᵀy assembly Solve
+// used before project took four columns per sweep of y: each column's
+// sum runs s += n[r]*y[r] in row order from 0.
+func projectReference(p *LSQPlan, y, rhs []float64) {
+	for i := 0; i < p.k; i++ {
+		s := 0.0
+		ni := p.norm[i]
+		for r := 0; r < p.m; r++ {
+			s += ni[r] * y[r]
+		}
+		rhs[i] = s
+	}
+}
+
+// TestLSQPlanSolveMatchesReference holds project, the Dᵀy assembly of
+// Solve (the rest of Solve replays recorded operations on its output),
+// to projectReference bit for bit on random plans of k = 1…12 columns (every remainder of the four-column
+// sweep) with observations that include ±0, ±Inf, NaN and values whose
+// products overflow.
+func TestLSQPlanSolveMatchesReference(t *testing.T) {
+	rng := NewRNG(30)
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64, 5e-324}
+	cases := 3000
+	if testing.Short() {
+		cases = 300
+	}
+	for c := 0; c < cases; c++ {
+		k := 1 + c%12
+		m := k + int(rng.Float64()*80)
+		cols := make([][]float64, k)
+		for j := range cols {
+			col := make([]float64, m)
+			s := math.Pow(10, -12+15*rng.Float64())
+			for i := range col {
+				col[i] = s * rng.Norm()
+			}
+			cols[j] = col
+		}
+		plan, err := NewLSQPlan(cols)
+		if err != nil {
+			continue
+		}
+		y := make([]float64, m)
+		for i := range y {
+			y[i] = math.Pow(10, -12+15*rng.Float64()) * rng.Norm()
+			if c%5 == 0 && rng.Float64() < 0.05 {
+				y[i] = special[int(rng.Float64()*float64(len(special)))]
+			}
+		}
+		got, want := make([]float64, k), make([]float64, k)
+		plan.project(y, got)
+		projectReference(plan, y, want)
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("case %d (k=%d m=%d): Dᵀy[%d] = %v (%016x), reference %v (%016x)",
+					c, k, m, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
