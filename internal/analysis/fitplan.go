@@ -19,8 +19,7 @@ import (
 //
 // Everything that depends only on the potential grid, the unit
 // templates and the nuisance columns is computed once per electrode
-// calibration, so each fit costs one right-hand-side solve plus the
-// residual pass. A plan is immutable after construction and safe for
+// calibration, so each fit costs one right-hand-side solve. A plan is immutable after construction and safe for
 // concurrent Fit calls when each caller passes its own FitScratch.
 type FitPlan struct {
 	m     int
@@ -47,14 +46,14 @@ type FitScratch struct {
 // PlanFit is the outcome of one planned fit. Amplitude looks a
 // template's amplitude up without building a map. The coefficient
 // slice aliases the FitScratch, so a PlanFit is valid only until the
-// scratch's next fit.
+// scratch's next fit. It keeps no pointer to the fitted voltammogram,
+// whose buffers a trace arena may recycle; ResidualRMS takes it back
+// when the misfit is wanted.
 type PlanFit struct {
 	plan *FitPlan
 	coef []float64
 	// Baseline, Slope and Charging are the fitted background terms.
 	Baseline, Slope, Charging float64
-	// ResidualRMS is the root-mean-square misfit in amperes.
-	ResidualRMS float64
 }
 
 // Amplitude returns the fitted amplitude for a template name: aliased
@@ -210,16 +209,18 @@ func (p *FitPlan) Fit(vg *trace.XY, s *FitScratch) (PlanFit, error) {
 	}
 	s.coef = x
 	k := len(p.names)
-	fit := PlanFit{
-		plan:     p,
-		coef:     x,
-		Baseline: x[k],
-		Slope:    x[k+1],
-		Charging: x[k+2],
-	}
+	return PlanFit{plan: p, coef: x, Baseline: x[k], Slope: x[k+1], Charging: x[k+2]}, nil
+}
+
+// ResidualRMS returns the root-mean-square misfit, in amperes, of the
+// fit to vg, which must be the voltammogram it was fitted to. Fit does
+// not compute it: the panels never read it.
+func (f *PlanFit) ResidualRMS(vg *trace.XY) float64 {
+	p, x := f.plan, f.coef
+	k := len(p.names)
 	var ss float64
 	for r := 0; r < p.m; r++ {
-		pred := fit.Baseline + fit.Slope*vg.X[r] + fit.Charging*p.dir[r]
+		pred := f.Baseline + f.Slope*vg.X[r] + f.Charging*p.dir[r]
 		for i := 0; i < k; i++ {
 			pred += x[i] * p.cols[i][r]
 		}
@@ -229,8 +230,7 @@ func (p *FitPlan) Fit(vg *trace.XY, s *FitScratch) (PlanFit, error) {
 		d := vg.Y[r] - pred
 		ss += d * d
 	}
-	fit.ResidualRMS = math.Sqrt(ss / float64(p.m))
-	return fit, nil
+	return math.Sqrt(ss / float64(p.m))
 }
 
 func sortStrings(s []string) {

@@ -73,7 +73,7 @@ func FitCVComponents(vg *trace.XY, templates map[string][]float64, nuisances ...
 		Baseline:    pf.Baseline,
 		Slope:       pf.Slope,
 		Charging:    pf.Charging,
-		ResidualRMS: pf.ResidualRMS,
+		ResidualRMS: pf.ResidualRMS(vg),
 	}
 	if fit.Aliased == nil {
 		fit.Aliased = map[string][]string{}
