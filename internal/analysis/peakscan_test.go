@@ -49,7 +49,7 @@ func findReductionPeaksReference(vg *trace.XY, minHeight phys.Current) ([]PeakQu
 		if p.Y < float64(minHeight) {
 			continue
 		}
-		out = append(out, PeakQuant{Potential: phys.Voltage(p.X), Height: phys.Current(p.Y), Prominence: p.Prominence})
+		out = append(out, PeakQuant{Potential: phys.Voltage(p.X), Height: phys.Current(p.Y)})
 	}
 	return out, nil
 }
@@ -113,75 +113,245 @@ func randomVoltammogram(rng *rand.Rand) *trace.XY {
 	return vg
 }
 
-// TestPeakScanMatchesReference: one reused PeakScratch fails exactly
-// where the reference errors, picks the same peak near every expected
-// potential and holds the reference's peaks bit for bit;
-// FindReductionPeaks and PeakNear agree with it.
+// nearestReference is the pick PeakNear made over the reference's
+// peaks: the last one, in their prominence order, at the minimal
+// distance from the expected potential within the window; −1 when
+// none lies inside.
+func nearestReference(want []PeakQuant, expected, window phys.Voltage) int {
+	best, bestDist := -1, float64(window)
+	for k, p := range want {
+		if d := math.Abs(float64(p.Potential - expected)); d <= bestDist {
+			best, bestDist = k, d
+		}
+	}
+	return best
+}
+
+// samePeak compares peaks bit for bit; any NaN matches any NaN, as in
+// signalproc's oracle.
+func samePeak(a, b PeakQuant) bool {
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+	return bits(float64(a.Potential), float64(b.Potential)) && bits(float64(a.Height), float64(b.Height))
+}
+
+// checkLookup holds a located scratch and PeakNear to the reference's
+// nearest pick.
+func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, minHeight phys.Current, expected, window phys.Voltage) {
+	t.Helper()
+	best := nearestReference(want, expected, window)
+	pk, ok := l.Lookup(expected, window)
+	near, err := PeakNear(vg, expected, window, minHeight)
+	if ok != (best >= 0) || (err == nil) != ok || (ok && (!samePeak(pk, want[best]) || !samePeak(near, want[best]))) {
+		t.Fatalf("n=%d min=%v near %v within %v: Lookup %+v %v, PeakNear %+v %v, reference index %d of %+v",
+			vg.Len(), minHeight, expected, window, pk, ok, near, err, best, want)
+	}
+}
+
+// TestPeakScanMatchesReference: one reused PeakScratch scan fails
+// exactly where the reference errors, holds the reference's peaks bit
+// for bit and picks the same peak near every expected potential;
+// FindReductionPeaks agrees with it, and Locate with Lookup and
+// PeakNear pick the reference's peak too, the dyadic grids' distance
+// ties sending some lookups to the ranking.
 func TestPeakScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
-	// Bit for bit; any NaN matches any NaN, as in signalproc's oracle.
-	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
-	same := func(a, b PeakQuant) bool {
-		return bits(float64(a.Potential), float64(b.Potential)) && bits(float64(a.Height), float64(b.Height)) &&
-			bits(a.Prominence, b.Prominence)
+	var s, l PeakScratch
+	traces, ranked := 100000, 0
+	if testing.Short() {
+		traces = 20000
 	}
-	var s PeakScratch
-	const traces = 100000
 	for i := 0; i < traces; i++ {
 		vg := randomVoltammogram(rng)
 		minHeight := phys.Current([]float64{0, 0, 1e-12, 1e-9, 1}[rng.IntN(5)])
 		want, werr := findReductionPeaksReference(vg, minHeight)
-		if ok := s.Scan(vg, minHeight); ok != (werr == nil) {
-			t.Fatalf("trace %d (n=%d): Scan reports %v, reference error %v", i, vg.Len(), ok, werr)
+		if err := s.scan(vg, minHeight); (err == nil) != (werr == nil) {
+			t.Fatalf("trace %d (n=%d): scan error %v, reference error %v", i, vg.Len(), err, werr)
+		}
+		if err := l.Locate(vg, minHeight); (err == nil) != (werr == nil) {
+			t.Fatalf("trace %d (n=%d): Locate error %v, reference error %v", i, vg.Len(), err, werr)
 		}
 		got, gerr := FindReductionPeaks(vg, minHeight)
 		if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
 			t.Fatalf("trace %d (n=%d): FindReductionPeaks error %v, reference %v", i, vg.Len(), gerr, werr)
 		}
 		if werr != nil {
+			if _, ok := l.Lookup(phys.Voltage(0), 1); ok {
+				t.Fatalf("trace %d (n=%d): Lookup found a peak after a failed Locate", i, vg.Len())
+			}
 			continue
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trace %d (n=%d): %d peaks, reference %d", i, vg.Len(), len(got), len(want))
 		}
 		for k := range want {
-			if !same(got[k], want[k]) {
+			if !samePeak(got[k], want[k]) {
 				t.Fatalf("trace %d (n=%d) peak %d: found %+v, reference %+v", i, vg.Len(), k, got[k], want[k])
 			}
 		}
 		for _, window := range []phys.Voltage{phys.MilliVolts(5), phys.MilliVolts(40), phys.MilliVolts(80), 1} {
 			expected := phys.Voltage(vg.X[rng.IntN(vg.Len())])
-			best, bestDist := -1, float64(window)
-			for k, p := range want {
-				if d := math.Abs(float64(p.Potential - expected)); d <= bestDist {
-					best, bestDist = k, d
-				}
+			best := nearestReference(want, expected, window)
+			pk, ok := s.near(expected, window)
+			if ok != (best >= 0) || (ok && !samePeak(pk, want[best])) {
+				t.Fatalf("trace %d (n=%d) near %v within %v: near %+v %v, reference index %d",
+					i, vg.Len(), expected, window, pk, ok, best)
 			}
-			pk, ok := s.Near(expected, window)
-			near, err := PeakNear(vg, expected, window, minHeight)
-			if ok != (best >= 0) || (err == nil) != ok || (ok && (!same(pk, want[best]) || !same(near, want[best]))) {
-				t.Fatalf("trace %d (n=%d) near %v within %v: Near %+v %v, PeakNear %+v %v, reference index %d",
-					i, vg.Len(), expected, window, pk, ok, near, err, best)
-			}
+			checkLookup(t, &l, vg, want, minHeight, expected, window)
+		}
+		if minHeight <= 0 && l.ranked {
+			ranked++
 		}
 		if len(s.quants) != len(want) {
 			t.Fatalf("trace %d (n=%d): %d scanned peaks, reference %d", i, vg.Len(), len(s.quants), len(want))
 		}
 		for k := range want {
-			if !same(s.quants[k], want[k]) {
+			if !samePeak(s.quants[k], want[k]) {
 				t.Fatalf("trace %d (n=%d) peak %d: scanned %+v, reference %+v", i, vg.Len(), k, s.quants[k], want[k])
 			}
 		}
 	}
+	t.Logf("%d of %d traces located at minimum height 0 fell back to the ranking on a distance tie", ranked, traces)
+	if ranked == 0 {
+		t.Fatal("no lookup tied on distance; the ranking fallback went unchecked")
+	}
+}
+
+// tiedVoltammogram is a falling branch on a dyadic grid (x_i = 1/2 −
+// i/256 V, then one rising sample) with two reduction dips of integer
+// shape, centred on samples 20 and 40: each smooths to a symmetric
+// maximum that refines exactly onto its sample's potential, so the
+// two peaks lie exactly 10 samples either side of sample 30. The dip
+// at 20 is scaled by left, the one at 40 by right.
+func tiedVoltammogram(left, right float64) *trace.XY {
+	vg := trace.NewXY("V", "A")
+	dip := []float64{1, 2, 4, 2, 1}
+	for i := 0; i < 64; i++ {
+		y := 0.0
+		if d := i - 18; d >= 0 && d < len(dip) {
+			y = -left * dip[d]
+		}
+		if d := i - 38; d >= 0 && d < len(dip) {
+			y = -right * dip[d]
+		}
+		vg.Append(0.5-float64(i)/256, y*0x1p-30)
+	}
+	vg.Append(0.5-62.0/256, 0)
+	return vg
+}
+
+// TestPeakLookupTieUsesRanking: two peaks at exactly the same distance
+// from the expected potential are told apart by prominence, as the
+// reference does — the less prominent one, last in its order, wins
+// whichever side it is on — and the lookup ranks the branch to get
+// there.
+func TestPeakLookupTieUsesRanking(t *testing.T) {
+	for _, c := range []struct {
+		left, right float64
+		winner      int // sample index of the peak that must win
+	}{
+		{1, 3, 20},
+		{3, 1, 40},
+		{2, 2, -1}, // equal prominences: the reference's sort order decides
+	} {
+		vg := tiedVoltammogram(c.left, c.right)
+		expected, window := phys.Voltage(vg.X[30]), phys.MilliVolts(80)
+		want, err := findReductionPeaksReference(vg, 0)
+		if err != nil || len(want) != 2 {
+			t.Fatalf("dips %v/%v: reference %+v, %v; want two peaks", c.left, c.right, want, err)
+		}
+		d0, d1 := math.Abs(float64(want[0].Potential-expected)), math.Abs(float64(want[1].Potential-expected))
+		if d0 != d1 {
+			t.Fatalf("dips %v/%v: distances %v and %v, want a tie", c.left, c.right, d0, d1)
+		}
+		var l PeakScratch
+		if err := l.Locate(vg, 0); err != nil {
+			t.Fatal(err)
+		}
+		checkLookup(t, &l, vg, want, 0, expected, window)
+		if !l.ranked {
+			t.Fatalf("dips %v/%v: a distance tie must rank the branch", c.left, c.right)
+		}
+		if c.winner >= 0 {
+			pk, _ := l.Lookup(expected, window)
+			if pk.Potential != phys.Voltage(vg.X[c.winner]) {
+				t.Fatalf("dips %v/%v: picked %v, want the peak at sample %d (%v)", c.left, c.right, pk.Potential, c.winner, vg.X[c.winner])
+			}
+		}
+		// Off the midpoint nothing ties, and a fresh lookup skips the
+		// ranking.
+		l.Locate(vg, 0) //nolint:errcheck // located above
+		checkLookup(t, &l, vg, want, 0, phys.Voltage(vg.X[29]), window)
+		if l.ranked {
+			t.Fatalf("dips %v/%v: an untied lookup ranked the branch", c.left, c.right)
+		}
+	}
+}
+
+// FuzzPeakLookup holds Locate + Lookup and PeakNear to the reference's
+// nearest pick on fuzzed branches: currents from a small alphabet
+// (integers dense in ties, ±0, ±MaxFloat64, ±Inf and NaN) on a falling
+// grid, dyadic or not, that turns at a fuzzed sample, with every
+// minimum height class (zero, negative, positive, NaN).
+func FuzzPeakLookup(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 1, 0, 0, 1, 3, 1, 0, 2, 2}, uint16(9), true, uint16(5), uint8(2), uint8(0))
+	f.Add([]byte("a voltammogram of fuzzed bytes, twenty-nine"), uint16(30), false, uint16(7), uint8(3), uint8(1))
+	f.Add([]byte{7, 7, 7, 250, 251, 7, 7, 252, 7, 7, 7, 253, 254, 255, 7}, uint16(15), true, uint16(3), uint8(1), uint8(4))
+	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint16(12), true, uint16(6), uint8(0), uint8(3))
+	special := []float64{math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
+	f.Fuzz(func(t *testing.T, ys []byte, turn uint16, dyadic bool, at uint16, windowSel, minSel uint8) {
+		if len(ys) > 700 {
+			t.Skip()
+		}
+		start, step := 0.3, 1.7e-3
+		if dyadic {
+			start, step = 0.5, 1.0/256
+		}
+		vg := trace.NewXY("V", "A")
+		for i, b := range ys {
+			e := start - float64(i)*step
+			if i >= int(turn) {
+				e = start - float64(2*int(turn)-i)*step
+			}
+			y := float64(int(b)%8) * 1e-9
+			if int(b) >= 256-len(special) {
+				y = special[int(b)-(256-len(special))]
+			}
+			vg.Append(e, y)
+		}
+		minHeight := phys.Current([]float64{0, math.Copysign(0, -1), -1e-9, 1e-9, 3e-9, math.NaN()}[int(minSel)%6])
+		window := []phys.Voltage{phys.MilliVolts(5), phys.MilliVolts(40), phys.MilliVolts(80), 1}[int(windowSel)%4]
+		want, werr := findReductionPeaksReference(vg, minHeight)
+		var l PeakScratch
+		if err := l.Locate(vg, minHeight); (err == nil) != (werr == nil) {
+			t.Fatalf("Locate error %v, reference error %v", err, werr)
+		}
+		if werr != nil {
+			return
+		}
+		for _, k := range []int{int(at), int(at) + 1, int(at) / 2} {
+			checkLookup(t, &l, vg, want, minHeight, phys.Voltage(vg.X[k%vg.Len()]), window)
+		}
+	})
+}
+
+// fig4Voltammogram is one voltammetric electrode of the Fig. 4
+// demonstrator, read once: its final-cycle voltammogram, the peak
+// potentials of its assays, and the fit plan of its calibration.
+type fig4Voltammogram struct {
+	vg       *trace.XY
+	expected []phys.Voltage
+	plan     *FitPlan
 }
 
 // fig4Voltammograms designs the paper's six-target Fig. 4 platform and
 // runs its two voltammetric electrodes once on the demonstrator sample:
 // CYP2B4 (benzphetamine and aminopyrine, a 651-sample forward branch
 // with two clear peaks) and CYP11A1 (cholesterol near its detection
-// limit, a noisy 501-sample branch with over a hundred maxima). It
-// returns the final-cycle voltammograms a panel scans.
-func fig4Voltammograms(tb testing.TB) []*trace.XY {
+// limit, a noisy 501-sample branch with over a hundred maxima). Each
+// comes with the fit plan a calibration builds from its flux basis:
+// the templates on the run's grid plus one film-background column per
+// binding.
+func fig4Voltammograms(tb testing.TB) []fig4Voltammogram {
 	tb.Helper()
 	sample := map[string]float64{
 		"glucose": 2.0, "lactate": 1.0, "glutamate": 1.0,
@@ -213,7 +383,9 @@ func fig4Voltammograms(tb testing.TB) []*trace.XY {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var out []*trace.XY
+	var out []fig4Voltammogram
+	var bases []*measure.CVBasis
+	var cyps []*enzyme.CYP
 	for _, ep := range p.Candidate.Electrodes {
 		if ep.Technique != enzyme.CyclicVoltammetry {
 			continue
@@ -223,58 +395,128 @@ func fig4Voltammograms(tb testing.TB) []*trace.XY {
 			peaks = append(peaks, a.Binding.PeakPotential)
 		}
 		start, vertex := measure.CVWindowFor(peaks...)
+		proto := measure.CyclicVoltammetry{Start: start, Vertex: vertex}
 		chain, err := p.ChainFor(ep.Name, eng.RNG())
 		if err != nil {
 			tb.Fatal(err)
 		}
-		res, err := eng.RunCV(ep.Name, chain, measure.CyclicVoltammetry{Start: start, Vertex: vertex})
+		basis, err := eng.CVFluxBasis(ep.Name, proto, chain)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, res.Voltammogram)
+		res, err := eng.RunCVWithBasis(ep.Name, chain, proto, basis)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, fig4Voltammogram{vg: res.Voltammogram, expected: peaks})
+		bases, cyps = append(bases, basis), append(cyps, ep.Assays[0].CYP)
 	}
 	if len(out) != 2 {
 		tb.Fatalf("the Fig. 4 platform has %d voltammetric electrodes, want 2", len(out))
 	}
+	for i := range out {
+		grid, templates, err := eng.CVTemplatesFromBasis(bases[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		var nuisances [][]float64
+		for _, b := range cyps[i].Bindings {
+			nuisances = append(nuisances, GaussianColumn(grid.X, float64(b.PeakPotential), measure.FilmBumpWidth))
+		}
+		if out[i].plan, err = NewFitPlan(grid.X, templates, nuisances...); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	return out
 }
 
-// TestPeakScanAllocFree: a warm scan of either Fig. 4 voltammogram
-// allocates nothing.
+// TestPeakScanAllocFree: a warm scan, and a warm lookup of every assay,
+// of either Fig. 4 voltammogram allocates nothing.
 func TestPeakScanAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds allocate differently from the compiled binary this count pins")
 	}
 	vgs := fig4Voltammograms(t)
 	var s PeakScratch
-	for _, vg := range vgs {
-		if !s.Scan(vg, 0) || len(s.quants) == 0 {
+	for _, v := range vgs {
+		if s.scan(v.vg, 0) != nil || len(s.quants) == 0 {
 			t.Fatal("every Fig. 4 voltammogram must scan to at least one peak")
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		for _, vg := range vgs {
-			s.Scan(vg, 0)
+		for _, v := range vgs {
+			s.scan(v.vg, 0) //nolint:errcheck // scanned above
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("warm PeakScratch scans allocate %.0f objects per panel, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(20, func() {
+		for _, v := range vgs {
+			s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+			for _, e := range v.expected {
+				s.Lookup(e, phys.MilliVolts(80))
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm PeakScratch lookups allocate %.0f objects per panel, want 0", allocs)
+	}
 }
 
-// BenchmarkPeakScan measures the reduction-peak scans of one Fig. 4
-// panel — both voltammograms, on one warm scratch, as the panel kernel
-// runs them.
+// BenchmarkPeakScan measures the ranked reduction-peak scans of one
+// Fig. 4 panel — both voltammograms, on one warm scratch — the work
+// FindReductionPeaks does and a lookup falls back to on a tie.
 func BenchmarkPeakScan(b *testing.B) {
 	vgs := fig4Voltammograms(b)
 	var s PeakScratch
-	for _, vg := range vgs {
-		s.Scan(vg, 0)
+	for _, v := range vgs {
+		s.scan(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		for _, vg := range vgs {
-			s.Scan(vg, 0)
+		for _, v := range vgs {
+			s.scan(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+		}
+	}
+}
+
+// BenchmarkPeakLookup measures one Fig. 4 panel's peak readout as the
+// panel kernel runs it: Locate on both voltammograms and a Lookup of
+// every assay's peak within 80 mV, on one warm scratch.
+func BenchmarkPeakLookup(b *testing.B) {
+	vgs := fig4Voltammograms(b)
+	var s PeakScratch
+	for _, v := range vgs {
+		s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, v := range vgs {
+			s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+			for _, e := range v.expected {
+				s.Lookup(e, phys.MilliVolts(80))
+			}
+		}
+	}
+}
+
+// BenchmarkFitPlanFit measures one Fig. 4 panel's template fits: both
+// voltammograms against their calibration plans, on one warm scratch.
+func BenchmarkFitPlanFit(b *testing.B) {
+	vgs := fig4Voltammograms(b)
+	var s FitScratch
+	for _, v := range vgs {
+		if _, err := v.plan.Fit(v.vg, &s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		for _, v := range vgs {
+			if _, err := v.plan.Fit(v.vg, &s); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

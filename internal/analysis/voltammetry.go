@@ -18,8 +18,6 @@ type PeakQuant struct {
 	// Height is the baseline-corrected cathodic peak current magnitude
 	// (positive number).
 	Height phys.Current
-	// Prominence is the raw detector prominence.
-	Prominence float64
 }
 
 // errNoCathodicBranch reports a voltammogram whose potential does not
@@ -62,8 +60,10 @@ func forwardBranchLen(vg *trace.XY) (int, error) {
 // FindReductionPeaks locates cathodic peaks on the forward branch of a
 // voltammogram: the current is negated (IUPAC cathodic currents are
 // negative), detrended against the linear charging background, smoothed
-// lightly, and run through the prominence-based peak detector.
-// minHeight filters peaks smaller than the given current magnitude.
+// lightly, and run through the prominence-based peak detector; the
+// peaks come in descending prominence order. minHeight is the
+// detector's minimum prominence and filters peaks smaller than the
+// given current magnitude.
 func FindReductionPeaks(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, error) {
 	var s PeakScratch
 	if err := s.scan(vg, minHeight); err != nil {
@@ -73,13 +73,15 @@ func FindReductionPeaks(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, erro
 }
 
 // PeakNear returns the detected reduction peak closest to the expected
-// potential within the given window, or an error when none lies inside.
+// potential within the given window, or an error when none lies inside:
+// PeakScratch's Locate and Lookup, which pick the peak FindReductionPeaks
+// and a nearest search would.
 func PeakNear(vg *trace.XY, expected phys.Voltage, window phys.Voltage, minHeight phys.Current) (PeakQuant, error) {
 	var s PeakScratch
-	if err := s.scan(vg, minHeight); err != nil {
+	if err := s.Locate(vg, minHeight); err != nil {
 		return PeakQuant{}, err
 	}
-	pk, ok := s.Near(expected, window)
+	pk, ok := s.Lookup(expected, window)
 	if !ok {
 		return PeakQuant{}, fmt.Errorf("analysis: no reduction peak within %v of %v", window, expected)
 	}

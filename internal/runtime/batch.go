@@ -219,13 +219,15 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 			}
 			// Quantify against the calibration's prefactored template
 			// decomposition (the same CVCalib.Plan the hand-held Sensor
-			// fits with); scan the voltammogram's reduction peaks once
-			// and report per-assay peak potentials from the scan.
+			// fits with); locate the voltammogram's reduction peaks once
+			// and look each assay's peak potential up among them.
 			fit, err := cal.Plan.Fit(res.Voltammogram, &s.fit)
 			if err != nil {
 				return Panel{}, fmt.Errorf("advdiag: %s: %w", ep.Name, err)
 			}
-			scanned := s.peaks.Scan(res.Voltammogram, 0)
+			// Peak potentials are best-effort: a branch Locate refuses
+			// leaves every assay's PeakMV at 0.
+			_ = s.peaks.Locate(res.Voltammogram, 0)
 			for _, a := range ep.Assays {
 				b := a.Binding
 				amp := fit.Amplitude(a.Target.Name)
@@ -235,10 +237,8 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 				height := amp * cal.UnitPeak[a.Target.Name]
 				est := InvertEffective(b, amp)
 				peakMV := 0.0
-				if scanned {
-					if pk, ok := s.peaks.Near(b.PeakPotential, phys.MilliVolts(80)); ok {
-						peakMV = pk.Potential.MilliVolts()
-					}
+				if pk, ok := s.peaks.Lookup(b.PeakPotential, phys.MilliVolts(80)); ok {
+					peakMV = pk.Potential.MilliVolts()
 				}
 				s.readings = append(s.readings, Reading{
 					Target:            a.Target.Name,

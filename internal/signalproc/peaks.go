@@ -104,9 +104,38 @@ func (f *PeakFinder) Find(xs, ys []float64, minProminence float64) []Peak {
 			k--
 		}
 	}
-	// Keep the prominent maxima, refined, merging plateau twins:
-	// refined X within one sample spacing of the last peak kept (none
-	// before the first, as NaN compares false).
+	f.peaks, f.stack = peaks, stack
+	return keepRefined(xs, ys, peaks, minProminence)
+}
+
+// Maxima returns the peaks Find returns for a minProminence of 0, in
+// index order, without the two prominence passes: a prominence is
+// never negative (it may be NaN), so a threshold of 0 keeps every
+// local maximum, and
+// only refinement and the plateau-twin merge shape the result. Every
+// Prominence reads 0. The result is valid until the next Find or
+// Maxima.
+func (f *PeakFinder) Maxima(xs, ys []float64) []Peak {
+	peaks := f.peaks[:0]
+	if len(xs) != len(ys) || len(ys) < 3 {
+		return peaks
+	}
+	// A NaN sample is no maximum and, as a neighbour, fails both
+	// comparisons, as in Find's left pass.
+	for i := 1; i < len(ys)-1; i++ {
+		if y := ys[i]; y > ys[i-1] && y >= ys[i+1] {
+			peaks = append(peaks, Peak{Index: i})
+		}
+	}
+	f.peaks = peaks
+	return keepRefined(xs, ys, peaks, math.Inf(-1))
+}
+
+// keepRefined compacts peaks, in index order, to the maxima at least
+// minProminence prominent, refined, merging plateau twins: refined X
+// within one sample spacing of the last peak kept (none before the
+// first, as NaN compares false).
+func keepRefined(xs, ys []float64, peaks []Peak, minProminence float64) []Peak {
 	dx := xs[1] - xs[0]
 	if dx < 0 {
 		dx = -dx
@@ -128,7 +157,6 @@ func (f *PeakFinder) Find(xs, ys []float64, minProminence float64) []Peak {
 		kept++
 		lastX = p.X
 	}
-	f.peaks, f.stack = peaks, stack
 	return peaks[:kept]
 }
 

@@ -189,7 +189,8 @@ func randomPeakTrace(rng *rand.Rand) (xs, ys []float64, minProminence float64) {
 
 // TestFindPeaksMatchesReference: one reused PeakFinder, sorted by
 // prominence, returns the reference detector's peaks bit for bit, in
-// the same order, and
+// the same order; below a positive threshold, Maxima returns Find's
+// peaks in index order; and
 // MovingAverageInto is the reference smoother bit for bit, over random
 // curves of every family.
 func TestFindPeaksMatchesReference(t *testing.T) {
@@ -198,12 +199,25 @@ func TestFindPeaksMatchesReference(t *testing.T) {
 	// payload and sign an x86 add propagates depends on code generation
 	// (race builds differ), and Go pins neither.
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
-	var f PeakFinder
+	var f, g PeakFinder
 	var smooth []float64
 	const traces = 100000
 	for i := 0; i < traces; i++ {
 		xs, ys, minProm := randomPeakTrace(rng)
 		got := f.Find(xs, ys, minProm)
+		if !(minProm > 0) {
+			// Below a positive threshold Maxima is Find in index
+			// order, prominences left out.
+			maxima := g.Maxima(xs, ys)
+			if len(maxima) != len(got) {
+				t.Fatalf("trace %d (n=%d min=%g): %d maxima, Find %d", i, len(ys), minProm, len(maxima), len(got))
+			}
+			for k, m := range maxima {
+				if w := got[k]; m.Index != w.Index || !same(m.X, w.X) || !same(m.Y, w.Y) || m.Prominence != 0 {
+					t.Fatalf("trace %d (n=%d min=%g) maximum %d: got %+v, Find %+v", i, len(ys), minProm, k, m, w)
+				}
+			}
+		}
 		SortByProminence(got)
 		want := findPeaksReference(xs, ys, minProm)
 		if len(got) != len(want) {
