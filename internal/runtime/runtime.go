@@ -169,44 +169,37 @@ func (e *Executor) RunFouled(sample map[string]float64, seed uint64, fault *Foul
 
 // MergeReplicas averages replicate readings of the same target (array
 // platforms measure each target on several electrodes). Single readings
-// pass through unchanged.
+// pass through unchanged. The merged reading takes its first replica's
+// place and labels; its WE reads "<first WE>+(×n)", and its current and
+// estimate are the replicas' sums, in reading order, divided by n.
+// A panel holds about a dozen readings, so a scan of the ones before
+// each reading finds its replicas without a map.
 func MergeReplicas(in []Reading) []Reading {
-	counts := map[string]int{}
-	for _, r := range in {
-		counts[r.Target]++
+	if len(in) == 0 {
+		return nil
 	}
-	merged := map[string]*Reading{}
-	for _, r := range in {
-		if counts[r.Target] == 1 {
-			continue
+	out := make([]Reading, 0, len(in))
+next:
+	for i, r := range in {
+		for _, q := range in[:i] {
+			if q.Target == r.Target {
+				continue next // merged into its first replica
+			}
 		}
-		m, ok := merged[r.Target]
-		if !ok {
-			cp := r
-			cp.WE = r.WE + "+"
-			merged[r.Target] = &cp
-			continue
+		n := 1
+		for _, q := range in[i+1:] {
+			if q.Target == r.Target {
+				r.MeasuredMicroAmps += q.MeasuredMicroAmps
+				r.EstimatedMM += q.EstimatedMM
+				n++
+			}
 		}
-		m.MeasuredMicroAmps += r.MeasuredMicroAmps
-		m.EstimatedMM += r.EstimatedMM
-	}
-	var out []Reading
-	seen := map[string]bool{}
-	for _, r := range in {
-		if counts[r.Target] == 1 {
-			out = append(out, r)
-			continue
+		if n > 1 {
+			r.MeasuredMicroAmps /= float64(n)
+			r.EstimatedMM /= float64(n)
+			r.WE = fmt.Sprintf("%s+(×%d)", r.WE, n)
 		}
-		if seen[r.Target] {
-			continue
-		}
-		seen[r.Target] = true
-		m := merged[r.Target]
-		n := float64(counts[r.Target])
-		m.MeasuredMicroAmps /= n
-		m.EstimatedMM /= n
-		m.WE = fmt.Sprintf("%s(×%d)", m.WE, counts[r.Target])
-		out = append(out, *m)
+		out = append(out, r)
 	}
 	return out
 }

@@ -1,7 +1,9 @@
 package runtime
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -83,6 +85,83 @@ func TestMergeReplicas(t *testing.T) {
 	}
 	if got := MergeReplicas(nil); got != nil {
 		t.Fatalf("empty input must stay empty, got %v", got)
+	}
+}
+
+// mergeReplicasReference is the MergeReplicas that counted and summed
+// replicas in two maps, kept as the bit-identity oracle.
+func mergeReplicasReference(in []Reading) []Reading {
+	counts := map[string]int{}
+	for _, r := range in {
+		counts[r.Target]++
+	}
+	merged := map[string]*Reading{}
+	for _, r := range in {
+		if counts[r.Target] == 1 {
+			continue
+		}
+		m, ok := merged[r.Target]
+		if !ok {
+			cp := r
+			cp.WE = r.WE + "+"
+			merged[r.Target] = &cp
+			continue
+		}
+		m.MeasuredMicroAmps += r.MeasuredMicroAmps
+		m.EstimatedMM += r.EstimatedMM
+	}
+	var out []Reading
+	seen := map[string]bool{}
+	for _, r := range in {
+		if counts[r.Target] == 1 {
+			out = append(out, r)
+			continue
+		}
+		if seen[r.Target] {
+			continue
+		}
+		seen[r.Target] = true
+		m := merged[r.Target]
+		n := float64(counts[r.Target])
+		m.MeasuredMicroAmps /= n
+		m.EstimatedMM /= n
+		m.WE = fmt.Sprintf("%s(×%d)", m.WE, counts[r.Target])
+		out = append(out, *m)
+	}
+	return out
+}
+
+// TestMergeReplicasMatchesReference holds MergeReplicas to the map
+// version bit for bit on random panels of 0–14 readings over 1–6
+// targets: every label, every float's bits, and the order.
+func TestMergeReplicasMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewPCG(30, 1))
+	bits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
+	for c := 0; c < 5000; c++ {
+		in := make([]Reading, rng.IntN(15))
+		targets := 1 + rng.IntN(6)
+		for i := range in {
+			in[i] = Reading{
+				Target:            fmt.Sprint("t", rng.IntN(targets)),
+				WE:                fmt.Sprint("WE", i+1),
+				Probe:             fmt.Sprint("p", rng.IntN(3)),
+				MeasuredMicroAmps: rng.NormFloat64() * math.Pow(10, float64(rng.IntN(12)-6)),
+				EstimatedMM:       rng.ExpFloat64(),
+				TrueMM:            rng.Float64(),
+				PeakMV:            -400 * rng.Float64(),
+			}
+		}
+		got, want := MergeReplicas(in), mergeReplicasReference(in)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("case %d: %d readings (nil %t), reference %d (nil %t)", c, len(got), got == nil, len(want), want == nil)
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Target != w.Target || g.WE != w.WE || g.Probe != w.Probe || !bits(g.MeasuredMicroAmps, w.MeasuredMicroAmps) ||
+				!bits(g.EstimatedMM, w.EstimatedMM) || !bits(g.TrueMM, w.TrueMM) || !bits(g.PeakMV, w.PeakMV) {
+				t.Fatalf("case %d reading %d: %+v, reference %+v", c, i, g, w)
+			}
+		}
 	}
 }
 
