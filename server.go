@@ -339,7 +339,8 @@ func (s *Server) handlePanel(w http.ResponseWriter, r *http.Request) {
 	}
 	select {
 	case out := <-ch:
-		writeJSON(w, toWireOutcome(0, out))
+		w.Header().Set("Content-Type", "application/json")
+		writeJSONOutcome(w, toWireOutcome(0, out))
 	case <-r.Context().Done():
 		// The client went away. If the panel has not started it is
 		// dropped without running; otherwise its outcome lands in the
@@ -443,7 +444,41 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	writeJSON(w, outs)
+	w.Header().Set("Content-Type", "application/json")
+	writeJSONOutcomes(w, outs)
+}
+
+// writeJSONOutcome writes one outcome as a line of compact JSON: a
+// /v1/panels answer or a /v1/panels/stream line. An outcome the
+// encoder refuses (a non-finite float smuggled into a result) degrades
+// to an error outcome, as writeBinaryOutcome's does.
+func writeJSONOutcome(w io.Writer, out wire.Outcome) {
+	w.Write(append(marshalJSONOutcome(out), '\n')) //nolint:errcheck // client gone = answer over
+}
+
+// writeJSONOutcomes writes a batch's outcomes as one compact JSON array
+// line, each refused outcome degraded in its slot as writeJSONOutcome
+// does, so the array always has one element per sample.
+func writeJSONOutcomes(w io.Writer, outs []wire.Outcome) {
+	buf := []byte{'['}
+	for i, out := range outs {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, marshalJSONOutcome(out)...)
+	}
+	w.Write(append(buf, ']', '\n')) //nolint:errcheck // client gone = answer over
+}
+
+// marshalJSONOutcome encodes an outcome through the validating
+// wire.MarshalOutcome, falling back to an error outcome in its slot.
+func marshalJSONOutcome(out wire.Outcome) []byte {
+	data, err := wire.MarshalOutcome(out)
+	if err != nil {
+		// An error outcome carries no result, so it always encodes.
+		data, _ = wire.MarshalOutcome(errorOutcome(out.Seq, out.ID, err))
+	}
+	return data
 }
 
 // writeBinaryOutcome frames one outcome onto a binary response. An
@@ -488,12 +523,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		enc := json.NewEncoder(w)
 		for out := range results {
 			if binOut {
 				writeBinaryOutcome(w, out)
 			} else {
-				enc.Encode(out) //nolint:errcheck // client gone = stream over
+				writeJSONOutcome(w, out)
 			}
 			if flusher != nil {
 				flusher.Flush()

@@ -1,7 +1,11 @@
 package advdiag
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"advdiag/internal/analog"
@@ -127,4 +131,90 @@ func TestWireBridgeOutcome(t *testing.T) {
 	if back := outcomeFromWire(eo); back.Err == nil || back.Err.Error() != ErrFleetSaturated.Error() {
 		t.Fatalf("error round trip: %+v", back)
 	}
+}
+
+// TestOutcomeWritersDegradeNonFinite feeds a batch whose middle outcome
+// carries a NaN reading, which the wire encoders refuse, through all
+// four outcome writers: the /v1/panels JSON answer, the JSON batch
+// array, NDJSON stream lines and binary frames. Each must deliver a
+// decodable error outcome in the middle slot, between its untouched
+// neighbours.
+func TestOutcomeWritersDegradeNonFinite(t *testing.T) {
+	outs := make([]wire.Outcome, 3)
+	for i := range outs {
+		pr := PanelResult{PanelSeconds: 90, Readings: []TargetReading{{Target: "glucose", WE: "WE1", Probe: "GOx", MeasuredMicroAmps: 1.5, EstimatedMM: 5.5, TrueMM: 5.4}}}
+		if i == 1 {
+			pr.Readings[0].EstimatedMM = math.NaN()
+		}
+		outs[i] = toWireOutcome(i, PanelOutcome{Index: i, ID: fmt.Sprint("s-", i), Result: pr})
+	}
+	check := func(writer string, got []wire.Outcome) {
+		t.Helper()
+		if len(got) != len(outs) {
+			t.Fatalf("%s: %d outcomes, want %d", writer, len(got), len(outs))
+		}
+		for i, o := range got {
+			if o.Seq != i || o.ID != outs[i].ID {
+				t.Fatalf("%s: slot %d holds seq %d id %q", writer, i, o.Seq, o.ID)
+			}
+			if i == 1 && (o.Result != nil || !strings.Contains(o.Error, "finite")) {
+				t.Fatalf("%s: the NaN outcome arrived as %+v, want an error outcome", writer, o)
+			}
+			if i != 1 && (o.Error != "" || o.Result == nil || o.Result.Readings[0].EstimatedMM != 5.5) {
+				t.Fatalf("%s: slot %d arrived as %+v, want its result", writer, i, o)
+			}
+		}
+	}
+	decodeLines := func(writer string, data []byte) []wire.Outcome {
+		t.Helper()
+		var got []wire.Outcome
+		for _, line := range bytes.Split(bytes.TrimSuffix(data, []byte("\n")), []byte("\n")) {
+			o, err := wire.UnmarshalOutcome(line)
+			if err != nil {
+				t.Fatalf("%s: %v", writer, err)
+			}
+			got = append(got, o)
+		}
+		return got
+	}
+
+	var single []wire.Outcome
+	for _, o := range outs {
+		var buf bytes.Buffer
+		writeJSONOutcome(&buf, o)
+		single = append(single, decodeLines("single answer", buf.Bytes())...)
+	}
+	check("single answer", single)
+
+	var stream bytes.Buffer
+	for _, o := range outs {
+		writeJSONOutcome(&stream, o)
+	}
+	check("NDJSON stream", decodeLines("NDJSON stream", stream.Bytes()))
+
+	var batch bytes.Buffer
+	writeJSONOutcomes(&batch, outs)
+	var elems []json.RawMessage
+	if err := json.Unmarshal(batch.Bytes(), &elems); err != nil {
+		t.Fatalf("batch array: %v", err)
+	}
+	var fromBatch []wire.Outcome
+	for _, e := range elems {
+		o, err := wire.UnmarshalOutcome(e)
+		if err != nil {
+			t.Fatalf("batch array: %v", err)
+		}
+		fromBatch = append(fromBatch, o)
+	}
+	check("batch array", fromBatch)
+
+	var frames bytes.Buffer
+	for _, o := range outs {
+		writeBinaryOutcome(&frames, o)
+	}
+	var fromFrames []wire.Outcome
+	if err := readOutcomeFrames(&frames, func(o wire.Outcome) { fromFrames = append(fromFrames, o) }); err != nil {
+		t.Fatalf("binary frames: %v", err)
+	}
+	check("binary frames", fromFrames)
 }
