@@ -15,20 +15,19 @@ import (
 // of once per target. A warm scratch allocates nothing. A scratch
 // belongs to one goroutine.
 //
-// The pick is the one PeakNear's reference, FindReductionPeaks and a
-// nearest-within-window search over its prominence-ordered peaks,
-// makes, bit for bit. With a minimum height of 0 or below, every
-// local maximum passes the detector's prominence threshold (a
-// prominence is never negative), so the ranking decides only which of
-// several peaks at exactly the same distance wins. Locate therefore
-// skips the prominence passes and the sort, and Lookup ranks the
-// branch — FindReductionPeaks' scan over the buffers Locate filled —
-// only when two candidates tie on distance, or when a positive minimum
-// height makes the threshold bite.
+// Lookup picks, bit for bit, the peak a nearest-within-window search
+// over FindReductionPeaks' prominence-ordered peaks picks. With a
+// minimum height of 0 or below, every local maximum passes the
+// detector's prominence threshold (a prominence is never negative), so
+// the ranking decides only which of several peaks at exactly the same
+// distance wins. Locate therefore skips the prominence passes and the
+// sort, and the scratch ranks the branch — FindReductionPeaks' scan
+// over the buffers Locate filled — only when two candidates tie on
+// distance, or when a positive minimum height makes the threshold bite.
 type PeakScratch struct {
-	// pot and smooth are the located branch's potentials (copied, so
-	// the voltammogram may be recycled after Locate) and its inverted,
-	// detrended, smoothed current.
+	// pot is the located branch's potentials, copied so the
+	// voltammogram may be recycled after Locate; base and smooth are
+	// its inverted, detrended current before and after smoothing.
 	pot, base, smooth []float64
 	finder            signalproc.PeakFinder
 	minHeight         float64

@@ -111,10 +111,9 @@ func (f *PeakFinder) Find(xs, ys []float64, minProminence float64) []Peak {
 // Maxima returns the peaks Find returns for a minProminence of 0, in
 // index order, without the two prominence passes: a prominence is
 // never negative (it may be NaN), so a threshold of 0 keeps every
-// local maximum, and
-// only refinement and the plateau-twin merge shape the result. Every
-// Prominence reads 0. The result is valid until the next Find or
-// Maxima.
+// local maximum, and only refinement and the plateau-twin merge shape
+// the result. Every Prominence reads 0. The result is valid until the
+// next Find or Maxima.
 func (f *PeakFinder) Maxima(xs, ys []float64) []Peak {
 	peaks := f.peaks[:0]
 	if len(xs) != len(ys) || len(ys) < 3 {
