@@ -127,6 +127,32 @@ func nearestReference(want []PeakQuant, expected, window phys.Voltage) int {
 	return best
 }
 
+// rulePick is the nearest-peak rule by brute force over a list of
+// peaks: of the peaks with a height of at least 0 (or NaN) within the
+// window, the one at the minimal distance from the expected potential;
+// of two at that distance, the taller, and when neither is taller
+// (equal or NaN heights), the one at the more negative potential. It
+// returns the winner's index (−1 when none lies inside) and whether
+// another peak tied with it on distance.
+func rulePick(peaks []PeakQuant, expected, window phys.Voltage) (best int, tied bool) {
+	best, bestDist := -1, math.Inf(1)
+	for k, p := range peaks {
+		if d := math.Abs(float64(p.Potential - expected)); !(p.Height < 0) && d <= float64(window) && d < bestDist {
+			best, bestDist = k, d
+		}
+	}
+	for k, p := range peaks {
+		if best < 0 || k == best || p.Height < 0 || math.Abs(float64(p.Potential-expected)) != bestDist {
+			continue
+		}
+		tied = true
+		if q := peaks[best]; p.Height > q.Height || !(p.Height < q.Height) && p.Potential < q.Potential {
+			best = k
+		}
+	}
+	return best, tied
+}
+
 // samePeak compares peaks bit for bit; any NaN matches any NaN, as in
 // signalproc's oracle.
 func samePeak(a, b PeakQuant) bool {
@@ -156,7 +182,7 @@ func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, m
 func TestPeakScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
 	var s, l PeakScratch
-	traces, ranked := 100000, 0
+	traces, ranked, ties := 100000, 0, 0
 	if testing.Short() {
 		traces = 20000
 	}
@@ -197,6 +223,17 @@ func TestPeakScanMatchesReference(t *testing.T) {
 					i, vg.Len(), expected, window, pk, ok, best)
 			}
 			checkLookup(t, &l, vg, want, minHeight, expected, window)
+			// The tie rule can move only ties: an untied lookup picks
+			// the rule's peak.
+			rule, tied := rulePick(want, expected, window)
+			if tied {
+				ties++
+				continue
+			}
+			if pk, ok := l.Lookup(expected, window); ok != (rule >= 0) || (ok && !samePeak(pk, want[rule])) {
+				t.Fatalf("trace %d (n=%d) untied lookup near %v within %v: %+v %v, rule index %d of %+v",
+					i, vg.Len(), expected, window, pk, ok, rule, want)
+			}
 		}
 		if minHeight <= 0 && l.ranked {
 			ranked++
@@ -210,7 +247,10 @@ func TestPeakScanMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d traces located at minimum height 0 fell back to the ranking on a distance tie", ranked, traces)
+	t.Logf("%d lookups tied on distance; %d of %d traces located at minimum height 0 fell back to the ranking", ties, ranked, traces)
+	if ties == 0 {
+		t.Fatal("no lookup tied on distance; the tie rule went unchecked")
+	}
 	if ranked == 0 {
 		t.Fatal("no lookup tied on distance; the ranking fallback went unchecked")
 	}
