@@ -61,16 +61,17 @@ func (s *PeakScratch) Locate(vg *trace.XY, minHeight phys.Current) error {
 
 // Lookup returns the located peak nearest the expected potential
 // within the window (a distance equal to the window counts), and false
-// when none lies inside. Its Potential and Height are those of the
-// peak FindReductionPeaks and a nearest pick choose: of several at the
-// minimal distance, the one last in FindReductionPeaks' order.
+// when none lies inside. Of two peaks at exactly the minimal distance,
+// one either side of the expected potential, the taller refined peak
+// wins; when neither is taller (equal or NaN heights), the one at the
+// more negative potential.
 //
 //advdiag:hotpath
 func (s *PeakScratch) Lookup(expected, window phys.Voltage) (PeakQuant, bool) {
 	if s.ranked {
 		return s.near(expected, window)
 	}
-	best, bestDist, tie := -1, float64(window), false
+	best, bestDist := -1, float64(window)
 	for i, p := range s.maxima {
 		if p.Y < s.minHeight {
 			continue
@@ -79,19 +80,11 @@ func (s *PeakScratch) Lookup(expected, window phys.Voltage) (PeakQuant, bool) {
 		if d < 0 {
 			d = -d
 		}
-		switch {
-		case !(d <= bestDist): // outside the window, farther, or NaN
-		case best >= 0 && d == bestDist:
-			tie = true
-		default:
-			best, bestDist, tie = i, d, false
+		// The maxima run down the forward branch, so on a tie p is at
+		// the more negative potential and wins unless it is shorter.
+		if d < bestDist || d == bestDist && (best < 0 || !(p.Y < s.maxima[best].Y)) {
+			best, bestDist = i, d
 		}
-	}
-	if tie {
-		// Only the prominence order can break it: rank the branch once;
-		// later lookups on it read the ranking too.
-		s.rank()
-		return s.near(expected, window)
 	}
 	if best < 0 {
 		return PeakQuant{}, false
@@ -152,8 +145,7 @@ func (s *PeakScratch) scan(vg *trace.XY, minHeight phys.Current) error {
 }
 
 // near returns the ranked peak closest to the expected potential
-// within the window; of several at the minimal distance, the one last
-// in FindReductionPeaks' order wins.
+// within the window, ties resolved as in Lookup.
 func (s *PeakScratch) near(expected, window phys.Voltage) (PeakQuant, bool) {
 	best := -1
 	bestDist := float64(window)
@@ -162,7 +154,8 @@ func (s *PeakScratch) near(expected, window phys.Voltage) (PeakQuant, bool) {
 		if d < 0 {
 			d = -d
 		}
-		if d <= bestDist {
+		if d < bestDist || d == bestDist && (best < 0 || p.Height > s.quants[best].Height ||
+			!(p.Height < s.quants[best].Height) && p.Potential < s.quants[best].Potential) {
 			bestDist = d
 			best = i
 		}

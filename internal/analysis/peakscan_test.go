@@ -113,20 +113,6 @@ func randomVoltammogram(rng *rand.Rand) *trace.XY {
 	return vg
 }
 
-// nearestReference is the pick PeakNear made over the reference's
-// peaks: the last one, in their prominence order, at the minimal
-// distance from the expected potential within the window; −1 when
-// none lies inside.
-func nearestReference(want []PeakQuant, expected, window phys.Voltage) int {
-	best, bestDist := -1, float64(window)
-	for k, p := range want {
-		if d := math.Abs(float64(p.Potential - expected)); d <= bestDist {
-			best, bestDist = k, d
-		}
-	}
-	return best
-}
-
 // rulePick is the nearest-peak rule by brute force over a list of
 // peaks: of the peaks with a height of at least 0 (or NaN) within the
 // window, the one at the minimal distance from the expected potential;
@@ -160,11 +146,11 @@ func samePeak(a, b PeakQuant) bool {
 	return bits(float64(a.Potential), float64(b.Potential)) && bits(float64(a.Height), float64(b.Height))
 }
 
-// checkLookup holds a located scratch and PeakNear to the reference's
-// nearest pick.
+// checkLookup holds a located scratch and PeakNear to the rule's pick
+// among the reference's peaks.
 func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, minHeight phys.Current, expected, window phys.Voltage) {
 	t.Helper()
-	best := nearestReference(want, expected, window)
+	best, _ := rulePick(want, expected, window)
 	pk, ok := l.Lookup(expected, window)
 	near, err := PeakNear(vg, expected, window, minHeight)
 	if ok != (best >= 0) || (err == nil) != ok || (ok && (!samePeak(pk, want[best]) || !samePeak(near, want[best]))) {
@@ -175,14 +161,14 @@ func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, m
 
 // TestPeakScanMatchesReference: one reused PeakScratch scan fails
 // exactly where the reference errors, holds the reference's peaks bit
-// for bit and picks the same peak near every expected potential;
+// for bit and picks the rule's peak near every expected potential;
 // FindReductionPeaks agrees with it, and Locate with Lookup and
-// PeakNear pick the reference's peak too, the dyadic grids' distance
-// ties sending some lookups to the ranking.
+// PeakNear pick the rule's peak among the reference's, the dyadic
+// grids supplying the distance ties that test the tie rule.
 func TestPeakScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
 	var s, l PeakScratch
-	traces, ranked, ties := 100000, 0, 0
+	traces, ties := 100000, 0
 	if testing.Short() {
 		traces = 20000
 	}
@@ -216,27 +202,16 @@ func TestPeakScanMatchesReference(t *testing.T) {
 		}
 		for _, window := range []phys.Voltage{phys.MilliVolts(5), phys.MilliVolts(40), phys.MilliVolts(80), 1} {
 			expected := phys.Voltage(vg.X[rng.IntN(vg.Len())])
-			best := nearestReference(want, expected, window)
+			best, tied := rulePick(want, expected, window)
+			if tied {
+				ties++
+			}
 			pk, ok := s.near(expected, window)
 			if ok != (best >= 0) || (ok && !samePeak(pk, want[best])) {
 				t.Fatalf("trace %d (n=%d) near %v within %v: near %+v %v, reference index %d",
 					i, vg.Len(), expected, window, pk, ok, best)
 			}
 			checkLookup(t, &l, vg, want, minHeight, expected, window)
-			// The tie rule can move only ties: an untied lookup picks
-			// the rule's peak.
-			rule, tied := rulePick(want, expected, window)
-			if tied {
-				ties++
-				continue
-			}
-			if pk, ok := l.Lookup(expected, window); ok != (rule >= 0) || (ok && !samePeak(pk, want[rule])) {
-				t.Fatalf("trace %d (n=%d) untied lookup near %v within %v: %+v %v, rule index %d of %+v",
-					i, vg.Len(), expected, window, pk, ok, rule, want)
-			}
-		}
-		if minHeight <= 0 && l.ranked {
-			ranked++
 		}
 		if len(s.quants) != len(want) {
 			t.Fatalf("trace %d (n=%d): %d scanned peaks, reference %d", i, vg.Len(), len(s.quants), len(want))
@@ -247,12 +222,9 @@ func TestPeakScanMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d lookups tied on distance; %d of %d traces located at minimum height 0 fell back to the ranking", ties, ranked, traces)
+	t.Logf("%d lookups in %d traces tied on distance", ties, traces)
 	if ties == 0 {
 		t.Fatal("no lookup tied on distance; the tie rule went unchecked")
-	}
-	if ranked == 0 {
-		t.Fatal("no lookup tied on distance; the ranking fallback went unchecked")
 	}
 }
 
@@ -279,19 +251,18 @@ func tiedVoltammogram(left, right float64) *trace.XY {
 	return vg
 }
 
-// TestPeakLookupTieUsesRanking: two peaks at exactly the same distance
-// from the expected potential are told apart by prominence, as the
-// reference does — the less prominent one, last in its order, wins
-// whichever side it is on — and the lookup ranks the branch to get
-// there.
-func TestPeakLookupTieUsesRanking(t *testing.T) {
+// TestPeakLookupTieRule: of two peaks at exactly the same distance
+// from the expected potential, the taller wins whichever side it is
+// on, and of two equally tall ones the one at the more negative
+// potential (sample 40).
+func TestPeakLookupTieRule(t *testing.T) {
 	for _, c := range []struct {
 		left, right float64
 		winner      int // sample index of the peak that must win
 	}{
-		{1, 3, 20},
-		{3, 1, 40},
-		{2, 2, -1}, // equal prominences: the reference's sort order decides
+		{1, 3, 40},
+		{3, 1, 20},
+		{2, 2, 40},
 	} {
 		vg := tiedVoltammogram(c.left, c.right)
 		expected, window := phys.Voltage(vg.X[30]), phys.MilliVolts(80)
@@ -299,36 +270,24 @@ func TestPeakLookupTieUsesRanking(t *testing.T) {
 		if err != nil || len(want) != 2 {
 			t.Fatalf("dips %v/%v: reference %+v, %v; want two peaks", c.left, c.right, want, err)
 		}
-		d0, d1 := math.Abs(float64(want[0].Potential-expected)), math.Abs(float64(want[1].Potential-expected))
-		if d0 != d1 {
-			t.Fatalf("dips %v/%v: distances %v and %v, want a tie", c.left, c.right, d0, d1)
+		if _, tied := rulePick(want, expected, window); !tied {
+			t.Fatalf("dips %v/%v: peaks %+v do not tie on distance from %v", c.left, c.right, want, expected)
 		}
 		var l PeakScratch
 		if err := l.Locate(vg, 0); err != nil {
 			t.Fatal(err)
 		}
 		checkLookup(t, &l, vg, want, 0, expected, window)
-		if !l.ranked {
-			t.Fatalf("dips %v/%v: a distance tie must rank the branch", c.left, c.right)
+		if pk, _ := l.Lookup(expected, window); pk.Potential != phys.Voltage(vg.X[c.winner]) {
+			t.Fatalf("dips %v/%v: picked %v, want the peak at sample %d (%v)", c.left, c.right, pk.Potential, c.winner, vg.X[c.winner])
 		}
-		if c.winner >= 0 {
-			pk, _ := l.Lookup(expected, window)
-			if pk.Potential != phys.Voltage(vg.X[c.winner]) {
-				t.Fatalf("dips %v/%v: picked %v, want the peak at sample %d (%v)", c.left, c.right, pk.Potential, c.winner, vg.X[c.winner])
-			}
-		}
-		// Off the midpoint nothing ties, and a fresh lookup skips the
-		// ranking.
-		l.Locate(vg, 0) //nolint:errcheck // located above
+		// Off the midpoint nothing ties and the nearer peak wins.
 		checkLookup(t, &l, vg, want, 0, phys.Voltage(vg.X[29]), window)
-		if l.ranked {
-			t.Fatalf("dips %v/%v: an untied lookup ranked the branch", c.left, c.right)
-		}
 	}
 }
 
-// FuzzPeakLookup holds Locate + Lookup and PeakNear to the reference's
-// nearest pick on fuzzed branches: currents from a small alphabet
+// FuzzPeakLookup holds Locate + Lookup and PeakNear to the rule's pick
+// among the reference's peaks on fuzzed branches: currents from a small alphabet
 // (integers dense in ties, ±0, ±MaxFloat64, ±Inf and NaN) on a falling
 // grid, dyadic or not, that turns at a fuzzed sample, with every
 // minimum height class (zero, negative, positive, NaN).
