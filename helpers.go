@@ -10,7 +10,7 @@ import (
 // peakNearBinding locates the reduction peak nearest to the expected
 // potential in a CV result.
 func peakNearBinding(res *measure.CVResult, expected phys.Voltage) (VoltammetricPeak, error) {
-	pk, err := analysis.PeakNear(res.Voltammogram, expected, phys.MilliVolts(80), 0)
+	pk, err := analysis.PeakNear(res.Voltammogram, expected, phys.MilliVolts(80))
 	if err != nil {
 		return VoltammetricPeak{}, err
 	}

@@ -15,13 +15,13 @@ import (
 	"advdiag/internal/trace"
 )
 
-// findReductionPeaksReference is the multi-pass FindReductionPeaks the
-// scratch scan replaced, kept as the bit-identity oracle: the branch
-// copied out, a negated copy, then signalproc.Detrend and
-// signalproc.MovingAverage each into a fresh slice and
-// signalproc.FindPeaks (pinned to the walking detector by signalproc's
-// own oracle).
-func findReductionPeaksReference(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, error) {
+// peaksReference is the multi-pass detector Locate replaced, kept as
+// the bit-identity oracle: the forward branch copied out, a negated
+// copy, then signalproc.Detrend and signalproc.MovingAverage each into
+// a fresh slice and signalproc.MaximaInto (pinned to the walking
+// detector by signalproc's own oracle). It returns every refined
+// maximum of the branch, in index order.
+func peaksReference(vg *trace.XY) ([]PeakQuant, error) {
 	if err := vg.Validate(); err != nil {
 		return nil, err
 	}
@@ -45,10 +45,7 @@ func findReductionPeaksReference(vg *trace.XY, minHeight phys.Current) ([]PeakQu
 	}
 	smooth := signalproc.MovingAverage(signalproc.Detrend(inv), 5)
 	var out []PeakQuant
-	for _, p := range signalproc.FindPeaks(pot, smooth, float64(minHeight)) {
-		if p.Y < float64(minHeight) {
-			continue
-		}
+	for _, p := range signalproc.MaximaInto(nil, pot, smooth) {
 		out = append(out, PeakQuant{Potential: phys.Voltage(p.X), Height: phys.Current(p.Y)})
 	}
 	return out, nil
@@ -148,78 +145,59 @@ func samePeak(a, b PeakQuant) bool {
 
 // checkLookup holds a located scratch and PeakNear to the rule's pick
 // among the reference's peaks.
-func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, minHeight phys.Current, expected, window phys.Voltage) {
+func checkLookup(t *testing.T, l *PeakScratch, vg *trace.XY, want []PeakQuant, expected, window phys.Voltage) {
 	t.Helper()
 	best, _ := rulePick(want, expected, window)
 	pk, ok := l.Lookup(expected, window)
-	near, err := PeakNear(vg, expected, window, minHeight)
+	near, err := PeakNear(vg, expected, window)
 	if ok != (best >= 0) || (err == nil) != ok || (ok && (!samePeak(pk, want[best]) || !samePeak(near, want[best]))) {
-		t.Fatalf("n=%d min=%v near %v within %v: Lookup %+v %v, PeakNear %+v %v, reference index %d of %+v",
-			vg.Len(), minHeight, expected, window, pk, ok, near, err, best, want)
+		t.Fatalf("n=%d near %v within %v: Lookup %+v %v, PeakNear %+v %v, reference index %d of %+v",
+			vg.Len(), expected, window, pk, ok, near, err, best, want)
 	}
 }
 
-// TestPeakScanMatchesReference: one reused PeakScratch scan fails
-// exactly where the reference errors, holds the reference's peaks bit
-// for bit and picks the rule's peak near every expected potential;
-// FindReductionPeaks agrees with it, and Locate with Lookup and
-// PeakNear pick the rule's peak among the reference's, the dyadic
-// grids supplying the distance ties that test the tie rule.
+// TestPeakScanMatchesReference: one reused PeakScratch fails to Locate
+// exactly where the reference errors, PeakNear with the reference's
+// error, and a located branch holds the reference's maxima bit for
+// bit. Lookup and PeakNear then pick the rule's peak among them near
+// every expected potential, in four windows, the dyadic grids
+// supplying the distance ties that test the tie rule.
 func TestPeakScanMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 7))
-	var s, l PeakScratch
+	var l PeakScratch
 	traces, ties := 100000, 0
 	if testing.Short() {
 		traces = 20000
 	}
 	for i := 0; i < traces; i++ {
 		vg := randomVoltammogram(rng)
-		minHeight := phys.Current([]float64{0, 0, 1e-12, 1e-9, 1}[rng.IntN(5)])
-		want, werr := findReductionPeaksReference(vg, minHeight)
-		if err := s.scan(vg, minHeight); (err == nil) != (werr == nil) {
-			t.Fatalf("trace %d (n=%d): scan error %v, reference error %v", i, vg.Len(), err, werr)
-		}
-		if err := l.Locate(vg, minHeight); (err == nil) != (werr == nil) {
+		want, werr := peaksReference(vg)
+		if err := l.Locate(vg); (err == nil) != (werr == nil) {
 			t.Fatalf("trace %d (n=%d): Locate error %v, reference error %v", i, vg.Len(), err, werr)
 		}
-		got, gerr := FindReductionPeaks(vg, minHeight)
-		if (gerr == nil) != (werr == nil) || (werr != nil && gerr.Error() != werr.Error()) {
-			t.Fatalf("trace %d (n=%d): FindReductionPeaks error %v, reference %v", i, vg.Len(), gerr, werr)
-		}
 		if werr != nil {
+			if _, err := PeakNear(vg, 0, 1); err == nil || err.Error() != werr.Error() {
+				t.Fatalf("trace %d (n=%d): PeakNear error %v, reference %v", i, vg.Len(), err, werr)
+			}
 			if _, ok := l.Lookup(phys.Voltage(0), 1); ok {
 				t.Fatalf("trace %d (n=%d): Lookup found a peak after a failed Locate", i, vg.Len())
 			}
 			continue
 		}
-		if len(got) != len(want) {
-			t.Fatalf("trace %d (n=%d): %d peaks, reference %d", i, vg.Len(), len(got), len(want))
+		if len(l.maxima) != len(want) {
+			t.Fatalf("trace %d (n=%d): %d maxima, reference %d", i, vg.Len(), len(l.maxima), len(want))
 		}
-		for k := range want {
-			if !samePeak(got[k], want[k]) {
-				t.Fatalf("trace %d (n=%d) peak %d: found %+v, reference %+v", i, vg.Len(), k, got[k], want[k])
+		for k, m := range l.maxima {
+			if got := (PeakQuant{Potential: phys.Voltage(m.X), Height: phys.Current(m.Y)}); !samePeak(got, want[k]) {
+				t.Fatalf("trace %d (n=%d) maximum %d: located %+v, reference %+v", i, vg.Len(), k, got, want[k])
 			}
 		}
 		for _, window := range []phys.Voltage{phys.MilliVolts(5), phys.MilliVolts(40), phys.MilliVolts(80), 1} {
 			expected := phys.Voltage(vg.X[rng.IntN(vg.Len())])
-			best, tied := rulePick(want, expected, window)
-			if tied {
+			if _, tied := rulePick(want, expected, window); tied {
 				ties++
 			}
-			pk, ok := s.near(expected, window)
-			if ok != (best >= 0) || (ok && !samePeak(pk, want[best])) {
-				t.Fatalf("trace %d (n=%d) near %v within %v: near %+v %v, reference index %d",
-					i, vg.Len(), expected, window, pk, ok, best)
-			}
-			checkLookup(t, &l, vg, want, minHeight, expected, window)
-		}
-		if len(s.quants) != len(want) {
-			t.Fatalf("trace %d (n=%d): %d scanned peaks, reference %d", i, vg.Len(), len(s.quants), len(want))
-		}
-		for k := range want {
-			if !samePeak(s.quants[k], want[k]) {
-				t.Fatalf("trace %d (n=%d) peak %d: scanned %+v, reference %+v", i, vg.Len(), k, s.quants[k], want[k])
-			}
+			checkLookup(t, &l, vg, want, expected, window)
 		}
 	}
 	t.Logf("%d lookups in %d traces tied on distance", ties, traces)
@@ -266,7 +244,7 @@ func TestPeakLookupTieRule(t *testing.T) {
 	} {
 		vg := tiedVoltammogram(c.left, c.right)
 		expected, window := phys.Voltage(vg.X[30]), phys.MilliVolts(80)
-		want, err := findReductionPeaksReference(vg, 0)
+		want, err := peaksReference(vg)
 		if err != nil || len(want) != 2 {
 			t.Fatalf("dips %v/%v: reference %+v, %v; want two peaks", c.left, c.right, want, err)
 		}
@@ -274,30 +252,30 @@ func TestPeakLookupTieRule(t *testing.T) {
 			t.Fatalf("dips %v/%v: peaks %+v do not tie on distance from %v", c.left, c.right, want, expected)
 		}
 		var l PeakScratch
-		if err := l.Locate(vg, 0); err != nil {
+		if err := l.Locate(vg); err != nil {
 			t.Fatal(err)
 		}
-		checkLookup(t, &l, vg, want, 0, expected, window)
+		checkLookup(t, &l, vg, want, expected, window)
 		if pk, _ := l.Lookup(expected, window); pk.Potential != phys.Voltage(vg.X[c.winner]) {
 			t.Fatalf("dips %v/%v: picked %v, want the peak at sample %d (%v)", c.left, c.right, pk.Potential, c.winner, vg.X[c.winner])
 		}
 		// Off the midpoint nothing ties and the nearer peak wins.
-		checkLookup(t, &l, vg, want, 0, phys.Voltage(vg.X[29]), window)
+		checkLookup(t, &l, vg, want, phys.Voltage(vg.X[29]), window)
 	}
 }
 
 // FuzzPeakLookup holds Locate + Lookup and PeakNear to the rule's pick
-// among the reference's peaks on fuzzed branches: currents from a small alphabet
-// (integers dense in ties, ±0, ±MaxFloat64, ±Inf and NaN) on a falling
-// grid, dyadic or not, that turns at a fuzzed sample, with every
-// minimum height class (zero, negative, positive, NaN).
+// among the reference's peaks on fuzzed branches: currents from a
+// small alphabet (integers dense in ties, ±0, ±MaxFloat64, ±Inf and
+// NaN) on a falling grid, dyadic or not, that turns at a fuzzed
+// sample.
 func FuzzPeakLookup(f *testing.F) {
-	f.Add([]byte{0, 1, 3, 1, 0, 0, 1, 3, 1, 0, 2, 2}, uint16(9), true, uint16(5), uint8(2), uint8(0))
-	f.Add([]byte("a voltammogram of fuzzed bytes, twenty-nine"), uint16(30), false, uint16(7), uint8(3), uint8(1))
-	f.Add([]byte{7, 7, 7, 250, 251, 7, 7, 252, 7, 7, 7, 253, 254, 255, 7}, uint16(15), true, uint16(3), uint8(1), uint8(4))
-	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint16(12), true, uint16(6), uint8(0), uint8(3))
+	f.Add([]byte{0, 1, 3, 1, 0, 0, 1, 3, 1, 0, 2, 2}, uint16(9), true, uint16(5), uint8(2))
+	f.Add([]byte("a voltammogram of fuzzed bytes, twenty-nine"), uint16(30), false, uint16(7), uint8(3))
+	f.Add([]byte{7, 7, 7, 250, 251, 7, 7, 252, 7, 7, 7, 253, 254, 255, 7}, uint16(15), true, uint16(3), uint8(1))
+	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint16(12), true, uint16(6), uint8(0))
 	special := []float64{math.Copysign(0, -1), 0, math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN()}
-	f.Fuzz(func(t *testing.T, ys []byte, turn uint16, dyadic bool, at uint16, windowSel, minSel uint8) {
+	f.Fuzz(func(t *testing.T, ys []byte, turn uint16, dyadic bool, at uint16, windowSel uint8) {
 		if len(ys) > 700 {
 			t.Skip()
 		}
@@ -317,18 +295,17 @@ func FuzzPeakLookup(f *testing.F) {
 			}
 			vg.Append(e, y)
 		}
-		minHeight := phys.Current([]float64{0, math.Copysign(0, -1), -1e-9, 1e-9, 3e-9, math.NaN()}[int(minSel)%6])
 		window := []phys.Voltage{phys.MilliVolts(5), phys.MilliVolts(40), phys.MilliVolts(80), 1}[int(windowSel)%4]
-		want, werr := findReductionPeaksReference(vg, minHeight)
+		want, werr := peaksReference(vg)
 		var l PeakScratch
-		if err := l.Locate(vg, minHeight); (err == nil) != (werr == nil) {
+		if err := l.Locate(vg); (err == nil) != (werr == nil) {
 			t.Fatalf("Locate error %v, reference error %v", err, werr)
 		}
 		if werr != nil {
 			return
 		}
 		for _, k := range []int{int(at), int(at) + 1, int(at) / 2} {
-			checkLookup(t, &l, vg, want, minHeight, phys.Voltage(vg.X[k%vg.Len()]), window)
+			checkLookup(t, &l, vg, want, phys.Voltage(vg.X[k%vg.Len()]), window)
 		}
 	})
 }
@@ -429,8 +406,8 @@ func fig4Voltammograms(tb testing.TB) []fig4Voltammogram {
 	return out
 }
 
-// TestPeakScanAllocFree: a warm scan, and a warm lookup of every assay,
-// of either Fig. 4 voltammogram allocates nothing.
+// TestPeakScanAllocFree: a warm Locate of either Fig. 4 voltammogram,
+// with a Lookup of every assay, allocates nothing.
 func TestPeakScanAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race builds allocate differently from the compiled binary this count pins")
@@ -438,21 +415,13 @@ func TestPeakScanAllocFree(t *testing.T) {
 	vgs := fig4Voltammograms(t)
 	var s PeakScratch
 	for _, v := range vgs {
-		if s.scan(v.vg, 0) != nil || len(s.quants) == 0 {
-			t.Fatal("every Fig. 4 voltammogram must scan to at least one peak")
+		if s.Locate(v.vg) != nil || len(s.maxima) == 0 {
+			t.Fatal("every Fig. 4 voltammogram must locate at least one peak")
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, v := range vgs {
-			s.scan(v.vg, 0) //nolint:errcheck // scanned above
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("warm PeakScratch scans allocate %.0f objects per panel, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		for _, v := range vgs {
-			s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+			s.Locate(v.vg) //nolint:errcheck // best-effort, as in a panel
 			for _, e := range v.expected {
 				s.Lookup(e, phys.MilliVolts(80))
 			}
@@ -463,23 +432,6 @@ func TestPeakScanAllocFree(t *testing.T) {
 	}
 }
 
-// BenchmarkPeakScan measures the ranked reduction-peak scans of one
-// Fig. 4 panel — both voltammograms, on one warm scratch — the work
-// FindReductionPeaks does and a lookup falls back to on a tie.
-func BenchmarkPeakScan(b *testing.B) {
-	vgs := fig4Voltammograms(b)
-	var s PeakScratch
-	for _, v := range vgs {
-		s.scan(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
-	}
-	b.ReportAllocs()
-	for b.Loop() {
-		for _, v := range vgs {
-			s.scan(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
-		}
-	}
-}
-
 // BenchmarkPeakLookup measures one Fig. 4 panel's peak readout as the
 // panel kernel runs it: Locate on both voltammograms and a Lookup of
 // every assay's peak within 80 mV, on one warm scratch.
@@ -487,12 +439,12 @@ func BenchmarkPeakLookup(b *testing.B) {
 	vgs := fig4Voltammograms(b)
 	var s PeakScratch
 	for _, v := range vgs {
-		s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+		s.Locate(v.vg) //nolint:errcheck // best-effort, as in a panel
 	}
 	b.ReportAllocs()
 	for b.Loop() {
 		for _, v := range vgs {
-			s.Locate(v.vg, 0) //nolint:errcheck // best-effort, as in a panel
+			s.Locate(v.vg) //nolint:errcheck // best-effort, as in a panel
 			for _, e := range v.expected {
 				s.Lookup(e, phys.MilliVolts(80))
 			}

@@ -57,28 +57,13 @@ func forwardBranchLen(vg *trace.XY) (int, error) {
 	return n, nil
 }
 
-// FindReductionPeaks locates cathodic peaks on the forward branch of a
-// voltammogram: the current is negated (IUPAC cathodic currents are
-// negative), detrended against the linear charging background, smoothed
-// lightly, and run through the prominence-based peak detector; the
-// peaks come in descending prominence order. minHeight is the
-// detector's minimum prominence and filters peaks smaller than the
-// given current magnitude.
-func FindReductionPeaks(vg *trace.XY, minHeight phys.Current) ([]PeakQuant, error) {
+// PeakNear returns the reduction peak of the voltammogram's forward
+// branch closest to the expected potential within the given window,
+// or an error when none lies inside: one PeakScratch Locate and
+// Lookup, under Lookup's nearest-peak rule.
+func PeakNear(vg *trace.XY, expected phys.Voltage, window phys.Voltage) (PeakQuant, error) {
 	var s PeakScratch
-	if err := s.scan(vg, minHeight); err != nil {
-		return nil, err
-	}
-	return s.quants, nil
-}
-
-// PeakNear returns the detected reduction peak closest to the expected
-// potential within the given window, or an error when none lies inside:
-// PeakScratch's Locate and Lookup, which pick the peak FindReductionPeaks
-// and a nearest search would.
-func PeakNear(vg *trace.XY, expected phys.Voltage, window phys.Voltage, minHeight phys.Current) (PeakQuant, error) {
-	var s PeakScratch
-	if err := s.Locate(vg, minHeight); err != nil {
+	if err := s.Locate(vg); err != nil {
 		return PeakQuant{}, err
 	}
 	pk, ok := s.Lookup(expected, window)

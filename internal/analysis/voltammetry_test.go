@@ -53,42 +53,43 @@ func TestForwardBranch(t *testing.T) {
 
 func TestFindReductionPeaksSingle(t *testing.T) {
 	vg := syntheticCV(map[float64]float64{-0.25: 2e-9}, -1e-10, 2e-10, 5e-10)
-	peaks, err := FindReductionPeaks(vg, phys.NanoAmps(0.5))
+	pk, err := PeakNear(vg, phys.MilliVolts(-250), phys.MilliVolts(80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(peaks) != 1 {
-		t.Fatalf("found %d peaks, want 1", len(peaks))
+	if math.Abs(pk.Potential.MilliVolts()-(-250)) > 5 {
+		t.Fatalf("peak at %g mV", pk.Potential.MilliVolts())
 	}
-	if math.Abs(peaks[0].Potential.MilliVolts()-(-250)) > 5 {
-		t.Fatalf("peak at %g mV", peaks[0].Potential.MilliVolts())
-	}
-	if math.Abs(float64(peaks[0].Height)-2e-9)/2e-9 > 0.15 {
-		t.Fatalf("height %g, want ≈2 nA", float64(peaks[0].Height))
+	if math.Abs(float64(pk.Height)-2e-9)/2e-9 > 0.15 {
+		t.Fatalf("height %g, want ≈2 nA", float64(pk.Height))
 	}
 }
 
+// TestFindReductionPeaksTwo: on a branch with two reduction peaks,
+// PeakNear finds each near its own potential.
 func TestFindReductionPeaksTwo(t *testing.T) {
 	vg := syntheticCV(map[float64]float64{-0.25: 1e-9, -0.4: 3e-9}, 0, 1e-10, 2e-10)
-	peaks, err := FindReductionPeaks(vg, phys.NanoAmps(0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(peaks) != 2 {
-		t.Fatalf("found %d peaks, want 2", len(peaks))
+	for _, want := range []float64{-250, -400} {
+		pk, err := PeakNear(vg, phys.MilliVolts(want), phys.MilliVolts(40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(pk.Potential.MilliVolts()-want) > 10 {
+			t.Fatalf("peak near %g mV found at %g mV", want, pk.Potential.MilliVolts())
+		}
 	}
 }
 
 func TestPeakNear(t *testing.T) {
 	vg := syntheticCV(map[float64]float64{-0.25: 1e-9, -0.4: 3e-9}, 0, 0, 0)
-	pk, err := PeakNear(vg, phys.MilliVolts(-250), phys.MilliVolts(80), 0)
+	pk, err := PeakNear(vg, phys.MilliVolts(-250), phys.MilliVolts(80))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(pk.Potential.MilliVolts()-(-250)) > 10 {
 		t.Fatalf("nearest peak at %g mV", pk.Potential.MilliVolts())
 	}
-	if _, err := PeakNear(vg, phys.MilliVolts(-600), phys.MilliVolts(40), 0); err == nil {
+	if _, err := PeakNear(vg, phys.MilliVolts(-600), phys.MilliVolts(40)); err == nil {
 		t.Fatal("no peak near −600 mV: must fail")
 	}
 }

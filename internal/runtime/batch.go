@@ -227,7 +227,7 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 			}
 			// Peak potentials are best-effort: a branch Locate refuses
 			// leaves every assay's PeakMV at 0.
-			_ = s.peaks.Locate(res.Voltammogram, 0)
+			_ = s.peaks.Locate(res.Voltammogram)
 			for _, a := range ep.Assays {
 				b := a.Binding
 				amp := fit.Amplitude(a.Target.Name)

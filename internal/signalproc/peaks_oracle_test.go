@@ -3,14 +3,14 @@ package signalproc
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 	"testing"
 )
 
-// findPeaksReference is the detector the monotonic-stack PeakFinder
-// replaced, kept verbatim as the bit-identity oracle: a walk outward
-// from every maximum for its prominence, an O(k²) plateau-twin merge
-// against every kept peak, and sort.Slice.
+// findPeaksReference is the prominence-thresholded detector that
+// MaximaInto replaced, kept as the bit-identity oracle: a walk outward
+// from every maximum for its prominence, and an O(k²) plateau-twin
+// merge against every kept peak. Its peaks come in index order; the
+// detector sorted them by descending prominence.
 func findPeaksReference(xs, ys []float64, minProminence float64) []Peak {
 	if len(xs) != len(ys) || len(ys) < 3 {
 		return nil
@@ -20,16 +20,13 @@ func findPeaksReference(xs, ys []float64, minProminence float64) []Peak {
 		if !(ys[i] > ys[i-1] && ys[i] >= ys[i+1]) {
 			continue
 		}
-		prom := prominenceReference(ys, i)
-		if prom < minProminence {
+		if prominenceReference(ys, i) < minProminence {
 			continue
 		}
 		x, y := refine(xs, ys, i)
-		dst = append(dst, Peak{Index: i, X: x, Y: y, Prominence: prom})
+		dst = append(dst, Peak{Index: i, X: x, Y: y})
 	}
-	dst = dedupeReference(xs, dst)
-	sort.Slice(dst, func(i, j int) bool { return dst[i].Prominence > dst[j].Prominence })
-	return dst
+	return dedupeReference(xs, dst)
 }
 
 func prominenceReference(ys []float64, i int) float64 {
@@ -119,10 +116,9 @@ func movingAverageReference(xs []float64, width int) []float64 {
 // Fig. 4-shaped voltammogram branches (ADC-quantized reduction peaks on
 // a sloped background, inverted, detrended and smoothed as the scan
 // does), small-integer traces dense in ties, notched plateau random
-// walks, and traces of ±0, ±1, ±Inf and NaN, where the sign of zero
-// decides prominences and infinities make NaN prominences and
+// walks, and traces of ±0, ±1, ±Inf and NaN, where infinities make NaN
 // positions. The abscissa is an evenly spaced sweep, falling or rising.
-func randomPeakTrace(rng *rand.Rand) (xs, ys []float64, minProminence float64) {
+func randomPeakTrace(rng *rand.Rand) (xs, ys []float64) {
 	n := rng.IntN(701)
 	xs = make([]float64, n)
 	ys = make([]float64, n)
@@ -152,12 +148,10 @@ func randomPeakTrace(rng *rand.Rand) (xs, ys []float64, minProminence float64) {
 			ys[i] = -math.Round(y/lsb) * lsb
 		}
 		ys = movingAverageReference(Detrend(ys), 5)
-		minProminence = []float64{0, 0, lsb, 1e-9, rng.Float64() * 1e-9}[rng.IntN(5)]
 	case 1:
 		for i := range ys {
 			ys[i] = float64(rng.IntN(4))
 		}
-		minProminence = float64(rng.IntN(3))
 	case 2:
 		y := 0.0
 		for i := range ys {
@@ -176,57 +170,39 @@ func randomPeakTrace(rng *rand.Rand) (xs, ys []float64, minProminence float64) {
 				ys[i] = math.Nextafter(ys[i], math.Inf(-1))
 			}
 		}
-		minProminence = float64(rng.IntN(3)) - 0.5
 	default:
 		vals := []float64{math.Copysign(0, -1), 0, math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1), math.NaN()}
 		for i := range ys {
 			ys[i] = vals[rng.IntN(len(vals))]
 		}
-		minProminence = []float64{0, math.Copysign(0, -1), 1}[rng.IntN(3)]
 	}
-	return xs, ys, minProminence
+	return xs, ys
 }
 
-// TestFindPeaksMatchesReference: one reused PeakFinder, sorted by
-// prominence, returns the reference detector's peaks bit for bit, in
-// the same order; below a positive threshold, Maxima returns Find's
-// peaks in index order; and
-// MovingAverageInto is the reference smoother bit for bit, over random
-// curves of every family.
-func TestFindPeaksMatchesReference(t *testing.T) {
+// TestMaximaMatchesReference: MaximaInto, into one reused buffer,
+// returns the reference detector's peaks at a prominence threshold of
+// 0 (which every maximum passes, a prominence never being negative)
+// bit for bit and in index order, and MovingAverageInto is the
+// reference smoother bit for bit, over random curves of every family.
+func TestMaximaMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(19, 4))
 	// Bit for bit, except that any NaN matches any NaN: which operand's
 	// payload and sign an x86 add propagates depends on code generation
 	// (race builds differ), and Go pins neither.
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
-	var f, g PeakFinder
+	var maxima []Peak
 	var smooth []float64
 	const traces = 100000
 	for i := 0; i < traces; i++ {
-		xs, ys, minProm := randomPeakTrace(rng)
-		got := f.Find(xs, ys, minProm)
-		if !(minProm > 0) {
-			// Below a positive threshold Maxima is Find in index
-			// order, prominences left out.
-			maxima := g.Maxima(xs, ys)
-			if len(maxima) != len(got) {
-				t.Fatalf("trace %d (n=%d min=%g): %d maxima, Find %d", i, len(ys), minProm, len(maxima), len(got))
-			}
-			for k, m := range maxima {
-				if w := got[k]; m.Index != w.Index || !same(m.X, w.X) || !same(m.Y, w.Y) || m.Prominence != 0 {
-					t.Fatalf("trace %d (n=%d min=%g) maximum %d: got %+v, Find %+v", i, len(ys), minProm, k, m, w)
-				}
-			}
+		xs, ys := randomPeakTrace(rng)
+		maxima = MaximaInto(maxima, xs, ys)
+		want := findPeaksReference(xs, ys, 0)
+		if len(maxima) != len(want) {
+			t.Fatalf("trace %d (n=%d): %d maxima, reference %d\ngot  %v\nwant %v", i, len(ys), len(maxima), len(want), maxima, want)
 		}
-		SortByProminence(got)
-		want := findPeaksReference(xs, ys, minProm)
-		if len(got) != len(want) {
-			t.Fatalf("trace %d (n=%d min=%g): %d peaks, reference %d\ngot  %v\nwant %v", i, len(ys), minProm, len(got), len(want), got, want)
-		}
-		for k := range got {
-			g, w := got[k], want[k]
-			if g.Index != w.Index || !same(g.X, w.X) || !same(g.Y, w.Y) || !same(g.Prominence, w.Prominence) {
-				t.Fatalf("trace %d (n=%d min=%g) peak %d: got %+v, reference %+v", i, len(ys), minProm, k, g, w)
+		for k, g := range maxima {
+			if w := want[k]; g.Index != w.Index || !same(g.X, w.X) || !same(g.Y, w.Y) {
+				t.Fatalf("trace %d (n=%d) maximum %d: got %+v, reference %+v", i, len(ys), k, g, w)
 			}
 		}
 		width := []int{1, 2, 3, 5, 5, 7}[rng.IntN(6)]
@@ -239,7 +215,7 @@ func TestFindPeaksMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFindPeaksNonMonotoneSweep pins FindPeaks on a whole cycle, whose
+// TestFindPeaksNonMonotoneSweep pins MaximaInto on a whole cycle, whose
 // potentials rise and fall back: two maxima at the same potential on
 // opposite sweeps, with another peak between them, are both kept,
 // because a plateau twin is merged only into the previous peak kept.
@@ -252,17 +228,17 @@ func TestFindPeaksNonMonotoneSweep(t *testing.T) {
 		xs[i] = float64(min(i, 20-i))
 	}
 	ys[3], ys[7], ys[17] = 1, 1.5, 2 // x = 3, 7 and 3
-	got := FindPeaks(xs, ys, 0.5)
-	want := []int{17, 7, 3}
+	got := MaximaInto(nil, xs, ys)
+	want := []int{3, 7, 17}
 	if len(got) != len(want) {
-		t.Fatalf("FindPeaks = %+v, want the maxima at indices %v", got, want)
+		t.Fatalf("MaximaInto = %+v, want the maxima at indices %v", got, want)
 	}
 	for k, i := range want {
 		if got[k].Index != i || got[k].X != xs[i] {
-			t.Fatalf("FindPeaks = %+v, want the maxima at indices %v", got, want)
+			t.Fatalf("MaximaInto = %+v, want the maxima at indices %v", got, want)
 		}
 	}
-	if ref := findPeaksReference(xs, ys, 0.5); len(ref) != 2 {
+	if ref := findPeaksReference(xs, ys, 0); len(ref) != 2 {
 		t.Fatalf("reference = %+v, want two peaks after its merge against every kept peak", ref)
 	}
 }

@@ -98,7 +98,7 @@ func TestFindPeaksSingle(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	peaks := FindPeaks(xs, ys, 0.1)
+	peaks := MaximaInto(nil, xs, ys)
 	if len(peaks) != 1 {
 		t.Fatalf("found %d peaks, want 1", len(peaks))
 	}
@@ -107,46 +107,6 @@ func TestFindPeaksSingle(t *testing.T) {
 	}
 	if math.Abs(peaks[0].Y-1) > 0.01 {
 		t.Fatalf("peak height %g, want 1", peaks[0].Y)
-	}
-}
-
-func TestFindPeaksTwoSeparated(t *testing.T) {
-	n := 201
-	ys := make([]float64, n)
-	g1 := gaussian(60, 8, n)
-	g2 := gaussian(140, 8, n)
-	for i := range ys {
-		ys[i] = g1[i] + 0.4*g2[i]
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	peaks := FindPeaks(xs, ys, 0.05)
-	if len(peaks) != 2 {
-		t.Fatalf("found %d peaks, want 2", len(peaks))
-	}
-	// Sorted by prominence: big one first.
-	if math.Abs(peaks[0].X-60) > 1 || math.Abs(peaks[1].X-140) > 1 {
-		t.Fatalf("peaks at %g, %g", peaks[0].X, peaks[1].X)
-	}
-}
-
-func TestFindPeaksProminenceFilter(t *testing.T) {
-	n := 201
-	ys := make([]float64, n)
-	g1 := gaussian(60, 8, n)
-	g2 := gaussian(140, 8, n)
-	for i := range ys {
-		ys[i] = g1[i] + 0.02*g2[i]
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i)
-	}
-	peaks := FindPeaks(xs, ys, 0.05)
-	if len(peaks) != 1 {
-		t.Fatalf("prominence filter failed: %d peaks", len(peaks))
 	}
 }
 
@@ -162,7 +122,7 @@ func TestFindPeaksSubSampleRefinement(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(i)
 	}
-	peaks := FindPeaks(xs, ys, 0.1)
+	peaks := MaximaInto(nil, xs, ys)
 	if len(peaks) != 1 {
 		t.Fatalf("%d peaks", len(peaks))
 	}
