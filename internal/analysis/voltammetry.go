@@ -3,7 +3,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"advdiag/internal/phys"
 	"advdiag/internal/trace"
@@ -23,16 +22,6 @@ type PeakQuant struct {
 // errNoCathodicBranch reports a voltammogram whose potential does not
 // fall over its first samples.
 var errNoCathodicBranch = errors.New("analysis: voltammogram does not start with a cathodic branch")
-
-// ForwardBranch extracts the cathodic (first, decreasing-potential)
-// branch of a voltammogram cycle as parallel slices.
-func ForwardBranch(vg *trace.XY) (pot, cur []float64, err error) {
-	n, err := forwardBranchLen(vg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return slices.Clone(vg.X[:n]), slices.Clone(vg.Y[:n]), nil
-}
 
 // forwardBranchLen returns how many leading samples of vg form its
 // cathodic branch.

@@ -33,13 +33,11 @@ func syntheticCV(peaks map[float64]float64, base, slope, charging float64) *trac
 
 func TestForwardBranch(t *testing.T) {
 	vg := syntheticCV(map[float64]float64{-0.25: 1e-9}, 0, 0, 0)
-	pot, cur, err := ForwardBranch(vg)
+	n, err := forwardBranchLen(vg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pot) != len(cur) {
-		t.Fatal("length mismatch")
-	}
+	pot := vg.X[:n]
 	// Forward branch runs downhill in potential.
 	for i := 1; i < len(pot); i++ {
 		if pot[i] > pot[i-1] {
@@ -48,6 +46,9 @@ func TestForwardBranch(t *testing.T) {
 	}
 	if pot[0] < 0.09 || pot[len(pot)-1] > -0.59 {
 		t.Fatalf("branch bounds [%g, %g]", pot[0], pot[len(pot)-1])
+	}
+	if n < vg.Len() && vg.X[n] < vg.X[n-1] {
+		t.Fatalf("branch stops at sample %d of %d while the potential still falls", n, vg.Len())
 	}
 }
 

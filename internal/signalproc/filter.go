@@ -62,23 +62,6 @@ func growFloats(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// LowPass applies a one-pole IIR low-pass with smoothing factor alpha in
-// (0,1]; alpha=1 passes the input through.
-func LowPass(xs []float64, alpha float64) []float64 {
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	if alpha <= 0 || alpha > 1 {
-		alpha = 1
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = out[i-1] + alpha*(xs[i]-out[i-1])
-	}
-	return out
-}
-
 // Derivative returns the centered finite-difference derivative of ys
 // with respect to uniformly spaced samples dt apart. Endpoints use
 // one-sided differences.

@@ -40,17 +40,6 @@ func TestMovingAverageWidthOne(t *testing.T) {
 	}
 }
 
-func TestLowPassDC(t *testing.T) {
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = 2
-	}
-	out := LowPass(xs, 0.3)
-	if math.Abs(out[99]-2) > 1e-9 {
-		t.Fatalf("DC must pass: %g", out[99])
-	}
-}
-
 func TestDerivativeLinear(t *testing.T) {
 	xs := make([]float64, 50)
 	for i := range xs {
