@@ -504,7 +504,7 @@ func (e *Engine) CVFaradaicSum(weName string, proto CyclicVoltammetry, basis *CV
 		}
 		cyp = we.Func.Assay.CYP
 	}
-	if err := basis.check(weName, proto); err != nil {
+	if err := basis.check(weName, cyp, proto); err != nil {
 		return nil, err
 	}
 	sweep := analog.TriangleSweep{Start: proto.Start, Vertex: proto.Vertex, Rate: proto.Rate, Cycles: proto.Cycles}
@@ -588,7 +588,7 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// The sweep grid's potentials and bump shapes come from the basis
 	// when it was computed through this chain's potentiostat, and are
 	// evaluated for this run otherwise.
-	if err := basis.check(weName, proto); err != nil {
+	if err := basis.check(weName, cyp, proto); err != nil {
 		return nil, err
 	}
 	grid := basis.grid

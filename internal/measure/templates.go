@@ -32,11 +32,16 @@ func finalCycleFirstIndex(n int, dt, cycleStart float64) int {
 // unit trace — which is how RunCVWithBasis serves per-sample
 // voltammograms without touching the solver.
 //
+// The flux depends on the electrode only through its isoform's
+// bindings, so one basis serves every electrode carrying that isoform:
+// the replicas of a sensor array share their construction's basis.
+//
 // A basis is immutable after construction and safe for any number of
 // concurrent readers; the serving layer computes one per electrode
 // construction and shares it across panel workers.
 type CVBasis struct {
-	we    string
+	we    string      // the electrode it was computed on (error text)
+	cyp   *enzyme.CYP // the isoform it simulated (nil: blank electrode)
 	proto CyclicVoltammetry
 	flux  map[string][]float64 // substrate → flux at every sample
 	grid  *cvGrid              // the potentials that drove flux
@@ -93,12 +98,13 @@ func (g *cvGrid) drivenBy(pstat *analog.Potentiostat) bool {
 	return g.pstat == *pstat
 }
 
-// check verifies the basis was computed for this electrode and
-// protocol (the numeric protocol fields; flag fields like
+// check verifies the basis was computed for an electrode carrying
+// cyp, the isoform of the named electrode (nil when it is blank), and
+// for this protocol (the numeric protocol fields; flag fields like
 // NoFilmBackground do not change the flux).
-func (b *CVBasis) check(weName string, proto CyclicVoltammetry) error {
-	if b.we != weName {
-		return fmt.Errorf("measure: basis computed for %s, used on %s", b.we, weName)
+func (b *CVBasis) check(weName string, cyp *enzyme.CYP, proto CyclicVoltammetry) error {
+	if b.cyp != cyp {
+		return fmt.Errorf("measure: basis computed for %s (%s), used on %s (%s)", b.we, isoformName(b.cyp), weName, isoformName(cyp))
 	}
 	p := b.proto
 	if p.Start != proto.Start || p.Vertex != proto.Vertex || p.Rate != proto.Rate ||
@@ -106,6 +112,14 @@ func (b *CVBasis) check(weName string, proto CyclicVoltammetry) error {
 		return fmt.Errorf("measure: basis protocol %+v does not match run protocol %+v", p, proto)
 	}
 	return nil
+}
+
+// isoformName names a basis' isoform in error text.
+func isoformName(cyp *enzyme.CYP) string {
+	if cyp == nil {
+		return "blank"
+	}
+	return cyp.Isoform
 }
 
 // CVFluxBasis runs the unit-concentration diffusion simulation of every
@@ -148,7 +162,7 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 		pstat = chain.Pstat
 	}
 	grid := newCVGrid(sweep, dt, n, pstat, cyp)
-	basis := &CVBasis{we: weName, proto: proto, flux: make(map[string][]float64, len(bindings)), grid: grid}
+	basis := &CVBasis{we: weName, cyp: cyp, proto: proto, flux: make(map[string][]float64, len(bindings)), grid: grid}
 	for _, b := range bindings {
 		sim, err := diffusion.New(diffusion.Config{
 			Kinetics:  b.Kinetics(),
