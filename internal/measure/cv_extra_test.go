@@ -70,7 +70,8 @@ func TestRunCVRejectsOxidaseElectrode(t *testing.T) {
 
 func TestCVTemplatesRejectsBlankAndOxidase(t *testing.T) {
 	eng, _ := NewEngine(glucoseCell(t, 1), 1)
-	if _, _, err := eng.CVTemplates("WE1", CyclicVoltammetry{Start: 0, Vertex: phys.MilliVolts(-500)}); err == nil {
+	chain := analog.NewNanoChain(nil, eng.RNG())
+	if _, _, err := eng.CVTemplates("WE1", CyclicVoltammetry{Start: 0, Vertex: phys.MilliVolts(-500)}, chain); err == nil {
 		t.Fatal("templates for an oxidase electrode must fail")
 	}
 }

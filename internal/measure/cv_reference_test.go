@@ -161,12 +161,11 @@ func referenceRunCV(e *Engine, weName string, chain *analog.Chain, proto CyclicV
 		Recorded: rec, Current: cur, Voltammogram: vg}, nil
 }
 
-// CVTemplates is CVTemplatesFromBasis over a basis driven by the
-// programmed sweep (a nil chain): the template convention the
-// hand-held Sensor fitted with before it shared the runtime's
-// calibration. testdata/cv_templates_cyp2b4.golden pins it.
-func (e *Engine) CVTemplates(weName string, proto CyclicVoltammetry) (*trace.XY, map[string][]float64, error) {
-	basis, err := e.CVFluxBasis(weName, proto, nil)
+// CVTemplates is CVTemplatesFromBasis over a basis driven through
+// chain, as runtime.NewCVCalib builds its templates.
+// testdata/cv_templates_cyp2b4.golden pins it.
+func (e *Engine) CVTemplates(weName string, proto CyclicVoltammetry, chain *analog.Chain) (*trace.XY, map[string][]float64, error) {
+	basis, err := e.CVFluxBasis(weName, proto, chain)
 	if err != nil {
 		return nil, nil, err
 	}

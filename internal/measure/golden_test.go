@@ -217,7 +217,8 @@ func TestGoldenCVTemplates(t *testing.T) {
 		peaks = append(peaks, b.PeakPotential)
 	}
 	start, vertex := CVWindowFor(peaks...)
-	grid, templates, err := eng.CVTemplates("WE1", CyclicVoltammetry{Start: start, Vertex: vertex})
+	chain := analog.NewNanoChain(nil, eng.RNG())
+	grid, templates, err := eng.CVTemplates("WE1", CyclicVoltammetry{Start: start, Vertex: vertex}, chain)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -271,7 +271,7 @@ func TestCVTemplatesLinearity(t *testing.T) {
 	eng, _ := NewEngine(c, 1)
 	start, vertex := CVWindowFor(a.Binding.PeakPotential)
 	proto := CyclicVoltammetry{Start: start, Vertex: vertex}
-	grid, templates, err := eng.CVTemplates("WE1", proto)
+	grid, templates, err := eng.CVTemplates("WE1", proto, analog.NewNanoChain(nil, eng.RNG()))
 	if err != nil {
 		t.Fatal(err)
 	}
