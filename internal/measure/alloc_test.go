@@ -114,11 +114,12 @@ func TestRunCVAllocsCycleIndependent(t *testing.T) {
 
 	// The basis path must hold the same property while skipping the
 	// solver construction entirely.
-	basisOne, err := eng.CVFluxBasis("WE1", one, nil)
+	chain := analog.NewNanoChain(nil, eng.RNG())
+	basisOne, err := eng.CVFluxBasis("WE1", one, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	basisTwo, err := eng.CVFluxBasis("WE1", two, nil)
+	basisTwo, err := eng.CVFluxBasis("WE1", two, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,9 +155,9 @@ func TestRunCAUnknownSpeciesError(t *testing.T) {
 }
 
 // TestRunCVBasisMatchesSimulation checks the linearity substitution
-// every CV run relies on: a run on a programmed-drive basis reproduces
-// the per-binding simulation of referenceRunCV to solver tolerance
-// (same noise stream, same protocol).
+// every CV run relies on: a run on a basis computed through its chain
+// reproduces the per-binding simulation of referenceRunCV to solver
+// tolerance (same noise stream, same protocol).
 func TestRunCVBasisMatchesSimulation(t *testing.T) {
 	a := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
 	var peaks []phys.Voltage
@@ -174,7 +175,8 @@ func TestRunCVBasisMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basis, err := engBas.CVFluxBasis("WE1", proto, nil)
+	chain := analog.NewNanoChain(nil, engBas.RNG())
+	basis, err := engBas.CVFluxBasis("WE1", proto, chain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +185,14 @@ func TestRunCVBasisMatchesSimulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basRes, err := engBas.RunCVWithBasis("WE1", analog.NewNanoChain(nil, engBas.RNG()), proto, basis)
+	basRes, err := engBas.RunCVWithBasis("WE1", chain, proto, basis)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Compare raw traces (pre-quantization): the faradaic term differs
-	// only by the basis' nil-chain drive (sub-mV potentiostat offset)
-	// and float re-association — well under 1% of the cathodic peak.
+	// only by float re-association — well under 1% of the cathodic
+	// peak.
 	peak := 0.0
 	for _, v := range simRes.Raw.Values {
 		if -v > peak {

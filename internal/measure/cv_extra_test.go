@@ -8,6 +8,7 @@ import (
 	"advdiag/internal/cell"
 	"advdiag/internal/electrode"
 	"advdiag/internal/enzyme"
+	"advdiag/internal/mathx"
 	"advdiag/internal/phys"
 )
 
@@ -132,11 +133,11 @@ func TestAgedElectrodeLosesSignal(t *testing.T) {
 	}
 }
 
-// TestCVBasisGridMatchesRunGrid: a basis computed through the run's
-// potentiostat lends runCV its sweep-grid tables (potentials and film
-// bump shapes); a basis computed without one makes runCV evaluate them
-// for the run. Given the same faradaic trace, the two must produce
-// bit-identical runs.
+// TestCVBasisGridMatchesRunGrid: runCV reads its sweep-grid tables
+// (potentials and film bump shapes) from the basis. A basis computed
+// through another chain with the same potentiostat must therefore give
+// runs bit-identical to one computed through the run's own chain, and a
+// chain whose potentiostat differs from the basis' must be refused.
 func TestCVBasisGridMatchesRunGrid(t *testing.T) {
 	a := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
 	var peaks []phys.Voltage
@@ -146,45 +147,54 @@ func TestCVBasisGridMatchesRunGrid(t *testing.T) {
 	start, vertex := CVWindowFor(peaks...)
 	proto := CyclicVoltammetry{Start: start, Vertex: vertex}
 
-	run := func(chainBasis bool) *CVResult {
+	run := func(ownChain bool) *CVResult {
 		eng, err := NewEngine(cypCVCell(t), 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		chain := analog.NewNanoChain(nil, eng.RNG())
-		withChain, err := eng.CVFluxBasis("WE1", proto, chain)
+		basisChain := chain
+		if !ownChain {
+			basisChain = analog.NewPicoChain(nil, mathx.NewRNG(1))
+		}
+		basis, err := eng.CVFluxBasis("WE1", proto, basisChain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		basis := withChain
-		if !chainBasis {
-			if basis, err = eng.CVFluxBasis("WE1", proto, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := basis.grid.drivenBy(chain.Pstat); got != chainBasis {
-			t.Fatalf("basis grid drivenBy(run potentiostat) = %v, want %v", got, chainBasis)
-		}
-		far, err := eng.CVFaradaicSum("WE1", proto, withChain, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := eng.RunCVShared("WE1", chain, proto, basis, far)
+		res, err := eng.RunCVWithBasis("WE1", chain, proto, basis)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	shared, own := run(true), run(false)
+	own, other := run(true), run(false)
 	for name, pair := range map[string][2][]float64{
-		"potential": {shared.Potential.Values, own.Potential.Values},
-		"raw":       {shared.Raw.Values, own.Raw.Values},
-		"recorded":  {shared.Recorded.Values, own.Recorded.Values},
+		"potential": {own.Potential.Values, other.Potential.Values},
+		"raw":       {own.Raw.Values, other.Raw.Values},
+		"recorded":  {own.Recorded.Values, other.Recorded.Values},
+		"current":   {own.Current.Values, other.Current.Values},
 	} {
-		for i := range pair[0] {
-			if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-				t.Fatalf("%s[%d]: basis grid %g, run grid %g", name, i, pair[0][i], pair[1][i])
-			}
+		if i := firstBitDiff(pair[0], pair[1]); i >= 0 {
+			t.Fatalf("%s[%d]: own-chain basis %g, other-chain basis %g", name, i, pair[0][i], pair[1][i])
 		}
+	}
+
+	eng, err := NewEngine(cypCVCell(t), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := analog.NewNanoChain(nil, eng.RNG())
+	basis, err := eng.CVFluxBasis("WE1", proto, chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offset := *chain.Pstat
+	offset.Offset += phys.MilliVolts(1)
+	chain.Pstat = &offset
+	if _, err := eng.RunCVWithBasis("WE1", chain, proto, basis); err == nil {
+		t.Fatal("basis accepted for a chain with another potentiostat")
+	}
+	if _, err := eng.CVFluxBasis("WE1", proto, nil); err == nil {
+		t.Fatal("CVFluxBasis accepted a nil chain")
 	}
 }

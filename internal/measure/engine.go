@@ -585,15 +585,15 @@ func (e *Engine) runCV(weName string, chain *analog.Chain, proto CyclicVoltammet
 	// to the basis factors).
 	gain := we.Gain() * we.Func.StabilityFactor()
 
-	// The sweep grid's potentials and bump shapes come from the basis
-	// when it was computed through this chain's potentiostat, and are
-	// evaluated for this run otherwise.
+	// The sweep grid's potentials and bump shapes come from the basis,
+	// which must have been driven by this chain's potentiostat.
 	if err := basis.check(weName, cyp, proto); err != nil {
 		return nil, err
 	}
 	grid := basis.grid
-	if !grid.drivenBy(chain.Pstat) {
-		grid = newCVGrid(sweep, dt, n, chain.Pstat, cyp)
+	if grid.pstat != *chain.Pstat {
+		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep
+		return nil, fmt.Errorf("measure: basis for %s was driven by potentiostat %+v, %s's chain has %+v", basis.we, grid.pstat, weName, *chain.Pstat)
 	}
 	if len(faradaic) < n {
 		//advdiag:allow hot-fmt cold validation path: fires once per rejected call, never per timestep

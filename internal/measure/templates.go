@@ -52,9 +52,7 @@ type CVBasis struct {
 // binding's film-background bump shape exp(−x²) over the applied
 // potential. runCV reads them instead of re-deriving them per sample.
 type cvGrid struct {
-	// pstat is the potentiostat that produced applied from prog; the
-	// zero value (never a valid potentiostat) when the programmed
-	// sweep drives the cell directly.
+	// pstat is the potentiostat that produced applied from prog.
 	pstat   analog.Potentiostat
 	prog    []phys.Voltage
 	applied []phys.Voltage
@@ -63,20 +61,13 @@ type cvGrid struct {
 	shapes [][]float64
 }
 
-// newCVGrid evaluates the grid of n samples at interval dt. pstat may
-// be nil (programmed drive) and cyp may be nil (no film bumps).
+// newCVGrid evaluates the grid of n samples at interval dt, driven
+// through pstat. cyp may be nil (no film bumps).
 func newCVGrid(sweep analog.TriangleSweep, dt float64, n int, pstat *analog.Potentiostat, cyp *enzyme.CYP) *cvGrid {
-	g := &cvGrid{prog: make([]phys.Voltage, n)}
+	g := &cvGrid{pstat: *pstat, prog: make([]phys.Voltage, n), applied: make([]phys.Voltage, n)}
 	for i := range g.prog {
 		g.prog[i] = sweep.VoltageAt(float64(i) * dt)
-	}
-	g.applied = g.prog
-	if pstat != nil {
-		g.pstat = *pstat
-		g.applied = make([]phys.Voltage, n)
-		for i, v := range g.prog {
-			g.applied[i] = pstat.Apply(v)
-		}
+		g.applied[i] = pstat.Apply(g.prog[i])
 	}
 	if cyp != nil {
 		g.shapes = make([][]float64, len(cyp.Bindings))
@@ -90,12 +81,6 @@ func newCVGrid(sweep analog.TriangleSweep, dt float64, n int, pstat *analog.Pote
 		}
 	}
 	return g
-}
-
-// drivenBy reports whether the grid's applied potentials are those
-// pstat establishes.
-func (g *cvGrid) drivenBy(pstat *analog.Potentiostat) bool {
-	return g.pstat == *pstat
 }
 
 // check verifies the basis was computed for an electrode carrying
@@ -125,12 +110,14 @@ func isoformName(cyp *enzyme.CYP) string {
 // CVFluxBasis runs the unit-concentration diffusion simulation of every
 // binding of the named electrode's CYP isoform over the full protocol
 // and records the surface-flux traces. It is the one place a CV
-// diffusion solver is built. When chain is non-nil the electrode
-// potential driving the simulations is the chain-applied
-// (potentiostat-corrected) potential, the drive RunCV uses; nil drives
-// with the programmed sweep. A blank electrode gets an empty basis: it
+// diffusion solver is built. The electrode potential driving the
+// simulations is the one chain's potentiostat applies, the drive of
+// every run on the basis. A blank electrode gets an empty basis: it
 // has no bindings, so its runs carry no faradaic current.
 func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *analog.Chain) (*CVBasis, error) {
+	if chain == nil || chain.Pstat == nil {
+		return nil, fmt.Errorf("measure: CVFluxBasis for %s needs a chain with a potentiostat", weName)
+	}
 	proto = proto.WithDefaults()
 	if err := proto.Validate(); err != nil {
 		return nil, err
@@ -157,11 +144,7 @@ func (e *Engine) CVFluxBasis(weName string, proto CyclicVoltammetry, chain *anal
 	total := sweep.Duration()
 	n := int(total/dt) + 1
 
-	var pstat *analog.Potentiostat
-	if chain != nil {
-		pstat = chain.Pstat
-	}
-	grid := newCVGrid(sweep, dt, n, pstat, cyp)
+	grid := newCVGrid(sweep, dt, n, chain.Pstat, cyp)
 	basis := &CVBasis{we: weName, cyp: cyp, proto: proto, flux: make(map[string][]float64, len(bindings)), grid: grid}
 	for _, b := range bindings {
 		sim, err := diffusion.New(diffusion.Config{
