@@ -1006,9 +1006,6 @@ type FleetStats struct {
 	PanelsPerSecond float64
 	// WallSeconds is that span.
 	WallSeconds float64
-	// CacheHitRate aggregates every shard's calibration-cache
-	// counters.
-	CacheHitRate float64
 }
 
 // FleetShardStats is one shard's slice of the snapshot.
@@ -1017,8 +1014,8 @@ type FleetShardStats struct {
 	Index int
 	// Targets lists the species the shard's platform measures.
 	Targets []string
-	// Lab is the shard's service-layer snapshot (panels/sec, cache hit
-	// rate, schedule-derived timing).
+	// Lab is the shard's service-layer snapshot (panels/sec,
+	// schedule-derived timing).
 	Lab LabStats
 	// QueueLen/QueueCap/InFlight describe the dispatch state at
 	// snapshot time; Routed counts everything ever enqueued here.
@@ -1042,8 +1039,8 @@ type FleetShardStats struct {
 // String renders the snapshot as a small report.
 func (s FleetStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d shards, %d submitted / %d completed (%d rejected, %d unroutable), %.1f panels/s, cache %.0f%% hit\n",
-		len(s.Shards), s.Submitted, s.Completed, s.Rejected, s.RouteErrors, s.PanelsPerSecond, 100*s.CacheHitRate)
+	fmt.Fprintf(&b, "fleet: %d shards, %d submitted / %d completed (%d rejected, %d unroutable), %.1f panels/s\n",
+		len(s.Shards), s.Submitted, s.Completed, s.Rejected, s.RouteErrors, s.PanelsPerSecond)
 	if s.MonitorsSubmitted > 0 || s.MonitorsCompleted > 0 || s.MonitorsRejected > 0 {
 		fmt.Fprintf(&b, "  monitors: %d submitted / %d completed (%d rejected)\n",
 			s.MonitorsSubmitted, s.MonitorsCompleted, s.MonitorsRejected)
@@ -1058,9 +1055,9 @@ func (s FleetStats) String() string {
 		case sh.Breaker != BreakerClosed:
 			mark = fmt.Sprintf(" breaker=%s", sh.Breaker)
 		}
-		fmt.Fprintf(&b, "  shard %d [%s]:%s %d routed, queue %d/%d, %d in flight, %.1f panels/s, cache %.0f%% hit\n",
+		fmt.Fprintf(&b, "  shard %d [%s]:%s %d routed, queue %d/%d, %d in flight, %.1f panels/s\n",
 			sh.Index, strings.Join(sh.Targets, ","), mark, sh.Routed, sh.QueueLen, sh.QueueCap, sh.InFlight,
-			sh.Lab.PanelsPerSecond, 100*sh.Lab.CacheHitRate)
+			sh.Lab.PanelsPerSecond)
 	}
 	return b.String()
 }
@@ -1082,16 +1079,12 @@ func (f *Fleet) Stats() FleetStats {
 		st.WallSeconds = f.last.Sub(f.first).Seconds()
 		st.PanelsPerSecond = float64(st.Completed) / st.WallSeconds
 	}
-	var hits, lookups uint64
 	for i, v := range f.snapshotLocked() {
 		sh := f.shards[i]
-		ls := sh.core.stats(f.workers)
-		hits += ls.CacheHits
-		lookups += ls.CacheHits + ls.CacheMisses
 		st.Shards = append(st.Shards, FleetShardStats{
 			Index:         sh.index,
 			Targets:       sh.targets,
-			Lab:           ls,
+			Lab:           sh.core.stats(f.workers),
 			QueueLen:      v.QueueLen,
 			QueueCap:      f.depth,
 			InFlight:      v.InFlight,
@@ -1103,12 +1096,6 @@ func (f *Fleet) Stats() FleetStats {
 			Restores:      sh.restores,
 			Removed:       sh.removed,
 		})
-	}
-	if lookups > 0 {
-		// Shards sharing one Platform also share its cache counters,
-		// so the absolute sums may count the same platform N times;
-		// the rate is unaffected.
-		st.CacheHitRate = float64(hits) / float64(lookups)
 	}
 	return st
 }

@@ -151,16 +151,17 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 
 	var out Panel
 	out.PanelSeconds = cand.PanelTime
+	table, err := e.calibration()
+	if err != nil {
+		return Panel{}, err
+	}
 	s.readings = s.readings[:0]
 	s.farN = 0
-	for _, ep := range cand.Electrodes {
+	for i, ep := range cand.Electrodes {
 		if ep.Blank {
 			continue
 		}
-		cal, err := e.calib.forElectrode(ep)
-		if err != nil {
-			return Panel{}, err
-		}
+		cal := table[i]
 		chain := s.chains[ep.Name]
 		if chain == nil {
 			chain, err = e.inner.ChainFor(ep.Name, eng.RNG())

@@ -3,10 +3,6 @@ package runtime
 import (
 	"fmt"
 	"math"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	"advdiag/internal/analog"
 	"advdiag/internal/analysis"
@@ -107,84 +103,62 @@ func (c *weCalib) invertCA(i phys.Current) phys.Concentration {
 	return phys.Concentration(x * c.caKm / (c.caIMax - x))
 }
 
-// cache memoizes weCalib entries keyed by sensor construction plus the
-// platform noise seed. Replicated electrodes share a construction and
-// therefore one entry. The cache belongs to one Executor; it is safe
-// for concurrent use and counts hits and misses so the serving layers
-// can report its effectiveness.
-type cache struct {
-	e *Executor
-
-	mu      sync.Mutex
-	entries map[string]*weCalib
-
-	// fast maps electrode name → entry. The structural key above dedups
-	// computation across replicated constructions; this index makes the
-	// steady-state lookup a single lock-free map read instead of a
-	// per-call fmt key build (the hot path's last avoidable allocation).
-	fast sync.Map
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
+// calibration returns the calibration table of the platform's
+// electrodes, building it on first use: Warm, the panel kernel and the
+// monitor kernel all come through here, so a cold platform is
+// calibrated exactly once however many goroutines reach it first.
+func (e *Executor) calibration() ([]*weCalib, error) {
+	e.calibOnce.Do(func() { e.calib, e.calibErr = e.buildCalibration() })
+	return e.calib, e.calibErr
 }
 
-func newCache(e *Executor) *cache {
-	return &cache{e: e, entries: map[string]*weCalib{}}
+// buildCalibration computes one weCalib per planned electrode, indexed
+// like Candidate.Electrodes (nil on the blank). Replicated electrodes
+// share their construction's entry, computed once for the first of
+// them; panelScratch.faradaicFor relies on that sharing.
+func (e *Executor) buildCalibration() ([]*weCalib, error) {
+	eps := e.inner.Candidate.Electrodes
+	table := make([]*weCalib, len(eps))
+next:
+	for i, ep := range eps {
+		if ep.Blank {
+			continue
+		}
+		for j, prev := range eps[:i] {
+			if table[j] != nil && sameConstruction(prev, ep) {
+				table[i] = table[j]
+				continue next
+			}
+		}
+		c, err := e.calibrate(ep)
+		if err != nil {
+			return nil, err
+		}
+		table[i] = c
+	}
+	return table, nil
 }
 
-// key derives the cache key from everything the calibration state
-// depends on: surface treatment, technique, the assay set, and the
-// platform seed (part of the platform's identity; entries never leak
-// across differently-seeded platforms even if caches were ever shared).
-func (cc *cache) key(ep core.ElectrodePlan) string {
-	var b strings.Builder
-	b.Grow(96)
-	b.WriteString(ep.Nano.String())
-	b.WriteByte('|')
-	b.WriteString(ep.Technique.String())
-	b.WriteString("|seed=")
-	var tmp [20]byte
-	b.Write(strconv.AppendUint(tmp[:0], cc.e.seed, 10))
-	for _, a := range ep.Assays {
-		b.WriteByte('|')
-		b.WriteString(a.Target.Name)
-		b.WriteByte(':')
-		b.WriteString(a.Probe)
+// sameConstruction reports whether two planned electrodes agree on
+// everything their calibration depends on: surface treatment,
+// technique and assay set.
+func sameConstruction(a, b core.ElectrodePlan) bool {
+	if a.Nano != b.Nano || a.Technique != b.Technique || len(a.Assays) != len(b.Assays) {
+		return false
 	}
-	return b.String()
+	for k := range a.Assays {
+		if a.Assays[k].Target.Name != b.Assays[k].Target.Name || a.Assays[k].Probe != b.Assays[k].Probe {
+			return false
+		}
+	}
+	return true
 }
 
-// forElectrode returns the calibration state for one planned electrode,
-// computing and caching it on first use. Repeat lookups for a name
-// resolve through the lock-free name index.
-func (cc *cache) forElectrode(ep core.ElectrodePlan) (*weCalib, error) {
-	if c, ok := cc.fast.Load(ep.Name); ok {
-		cc.hits.Add(1)
-		return c.(*weCalib), nil
-	}
-	k := cc.key(ep)
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if c, ok := cc.entries[k]; ok {
-		cc.hits.Add(1)
-		cc.fast.Store(ep.Name, c)
-		return c, nil
-	}
-	cc.misses.Add(1)
-	c, err := cc.compute(ep)
-	if err != nil {
-		return nil, err
-	}
-	cc.entries[k] = c
-	cc.fast.Store(ep.Name, c)
-	return c, nil
-}
-
-// compute derives the calibration state from the platform design. A
-// voltammetric electrode's CVCalib is computed over a throwaway
-// buffer-only cell: it depends only on the electrode construction, not
-// on any sample.
-func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
+// calibrate derives one electrode's calibration state from the
+// platform design. A voltammetric electrode's CVCalib is computed over
+// a throwaway buffer-only cell: it depends only on the electrode
+// construction, not on any sample.
+func (e *Executor) calibrate(ep core.ElectrodePlan) (*weCalib, error) {
 	c := &weCalib{}
 	switch ep.Technique {
 	case enzyme.Chronoamperometry:
@@ -197,15 +171,15 @@ func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
 		for _, a := range ep.Assays {
 			peaks = append(peaks, a.Binding.PeakPotential)
 		}
-		blank, err := cc.e.inner.Instantiate(nil)
+		blank, err := e.inner.Instantiate(nil)
 		if err != nil {
 			return nil, err
 		}
-		eng, err := measure.NewEngine(blank, cc.e.seed)
+		eng, err := measure.NewEngine(blank, e.seed)
 		if err != nil {
 			return nil, err
 		}
-		chain, err := cc.e.inner.ChainFor(ep.Name, eng.RNG())
+		chain, err := e.inner.ChainFor(ep.Name, eng.RNG())
 		if err != nil {
 			return nil, err
 		}
@@ -216,26 +190,6 @@ func (cc *cache) compute(ep core.ElectrodePlan) (*weCalib, error) {
 		return nil, fmt.Errorf("advdiag: electrode %s has unsupported technique %v", ep.Name, ep.Technique)
 	}
 	return c, nil
-}
-
-// warm precomputes every electrode's calibration state (the serving
-// layers call this once at construction so the hot path only ever
-// hits).
-func (cc *cache) warm() error {
-	for _, ep := range cc.e.inner.Candidate.Electrodes {
-		if ep.Blank {
-			continue
-		}
-		if _, err := cc.forElectrode(ep); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// counts returns the cache hit/miss counters.
-func (cc *cache) counts() (hits, misses uint64) {
-	return cc.hits.Load(), cc.misses.Load()
 }
 
 // unitPeakHeight returns the cathodic peak magnitude of a unit

@@ -321,14 +321,15 @@ func (e *Executor) monitorWith(s *monitorScratch, spec MonitorSpec, seed uint64)
 	if err := spec.Validate(); err != nil {
 		return MonitorTrace{}, err
 	}
-	ep, err := e.monitorElectrode(spec.Target)
+	i, err := e.monitorElectrode(spec.Target)
 	if err != nil {
 		return MonitorTrace{}, err
 	}
-	cal, err := e.calib.forElectrode(ep)
+	table, err := e.calibration()
 	if err != nil {
 		return MonitorTrace{}, err
 	}
+	ep, cal := e.inner.Candidate.Electrodes[i], table[i]
 	r, err := s.rig(e, ep)
 	if err != nil {
 		return MonitorTrace{}, err
@@ -379,21 +380,21 @@ func (e *Executor) monitorWith(s *monitorScratch, spec MonitorSpec, seed uint64)
 	return out, nil
 }
 
-// monitorElectrode finds the chronoamperometric electrode plan serving
-// the target; continuous monitoring is the oxidase use case, so CV
-// electrodes never qualify.
-func (e *Executor) monitorElectrode(target string) (core.ElectrodePlan, error) {
-	for _, ep := range e.inner.Candidate.Electrodes {
+// monitorElectrode finds the index of the chronoamperometric electrode
+// plan serving the target; continuous monitoring is the oxidase use
+// case, so CV electrodes never qualify.
+func (e *Executor) monitorElectrode(target string) (int, error) {
+	for i, ep := range e.inner.Candidate.Electrodes {
 		if ep.Blank || ep.Technique != enzyme.Chronoamperometry {
 			continue
 		}
 		for _, a := range ep.Assays {
 			if a.Target.Name == target {
-				return ep, nil
+				return i, nil
 			}
 		}
 	}
-	return core.ElectrodePlan{}, fmt.Errorf("advdiag: platform has no chronoamperometric electrode monitoring %q", target)
+	return 0, fmt.Errorf("advdiag: platform has no chronoamperometric electrode monitoring %q", target)
 }
 
 // MonitorSeed derives the deterministic noise seed of one campaign

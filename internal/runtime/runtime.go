@@ -49,12 +49,17 @@ type Panel struct {
 }
 
 // Executor runs panels over one synthesized platform. It pairs the
-// design (core.Platform) with the calibration cache and the base noise
+// design (core.Platform) with the calibration table and the base noise
 // seed that together define the platform's run-time identity.
 type Executor struct {
 	inner *core.Platform
 	seed  uint64
-	calib *cache
+
+	// calib holds one calibration entry per planned electrode, indexed
+	// like Candidate.Electrodes; calibOnce builds it (see calibration).
+	calibOnce sync.Once
+	calib     []*weCalib
+	calibErr  error
 
 	// scratch pools panelScratch values (the reusable cell + engine +
 	// chain + trace state of a panel run) so sequential runs recycle
@@ -66,11 +71,10 @@ type Executor struct {
 }
 
 // NewExecutor builds the execution engine for a synthesized platform.
-// The calibration cache starts cold; Warm precomputes it.
+// The calibration table is built by Warm or by the first run,
+// whichever comes first.
 func NewExecutor(inner *core.Platform, seed uint64) *Executor {
-	e := &Executor{inner: inner, seed: seed}
-	e.calib = newCache(e)
-	return e
+	return &Executor{inner: inner, seed: seed}
 }
 
 // Plan returns the platform's acquisition schedule.
@@ -122,12 +126,12 @@ func (e *Executor) MonitorTargets() []string {
 	return out
 }
 
-// Warm precomputes every electrode's calibration state so the serving
-// path only ever reads the cache.
-func (e *Executor) Warm() error { return e.calib.warm() }
-
-// CacheCounts returns the calibration cache's hit/miss counters.
-func (e *Executor) CacheCounts() (hits, misses uint64) { return e.calib.counts() }
+// Warm builds the calibration table of every electrode, once, so the
+// serving path only ever reads it.
+func (e *Executor) Warm() error {
+	_, err := e.calibration()
+	return err
+}
 
 // SampleSeed mixes a base seed with a sample index (splitmix64
 // finalizer) so every sample owns an independent, deterministic noise

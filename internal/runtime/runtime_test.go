@@ -187,6 +187,54 @@ func TestInvertEffective(t *testing.T) {
 
 // TestExecutorEndToEnd: an Executor over a designed platform runs a
 // panel deterministically and reports its targets and cache counters.
+// TestCalibrationTableSharesReplicas: the table holds one entry per
+// planned electrode, and replicated electrodes share their
+// construction's entry while distinct constructions get their own.
+// A cold executor builds the same table on its first run.
+func TestCalibrationTableSharesReplicas(t *testing.T) {
+	best, err := core.BestWith(core.Requirements{
+		Targets:      []core.TargetSpec{{Species: "glucose"}, {Species: "benzphetamine"}},
+		Replicas:     3,
+		WithBlankCDS: true,
+	}, core.ExploreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := core.Synthesize(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewExecutor(inner, 9)
+	if _, err := e.Run(map[string]float64{"glucose": 1, "benzphetamine": 0.5}, 1); err != nil {
+		t.Fatal(err)
+	}
+	eps := inner.Candidate.Electrodes
+	if len(e.calib) != len(eps) {
+		t.Fatalf("%d calibration entries for %d electrodes", len(e.calib), len(eps))
+	}
+	distinct := map[*weCalib]bool{}
+	for i, ep := range eps {
+		if ep.Blank {
+			if e.calib[i] != nil {
+				t.Fatalf("blank electrode %s has a calibration entry", ep.Name)
+			}
+			continue
+		}
+		distinct[e.calib[i]] = true
+		for j := range eps[:i] {
+			if eps[j].Blank {
+				continue
+			}
+			if same := e.calib[i] == e.calib[j]; same != sameConstruction(eps[i], eps[j]) {
+				t.Fatalf("electrodes %s and %s: shared entry %v, same construction %v", eps[j].Name, ep.Name, same, !same)
+			}
+		}
+	}
+	if len(distinct) != 2 {
+		t.Fatalf("%d distinct calibration entries, want 2 (one per construction)", len(distinct))
+	}
+}
+
 func TestExecutorEndToEnd(t *testing.T) {
 	best, err := core.BestWith(core.Requirements{
 		Targets: []core.TargetSpec{{Species: "glucose"}, {Species: "benzphetamine"}},
@@ -206,9 +254,11 @@ func TestExecutorEndToEnd(t *testing.T) {
 	if err := e.Warm(); err != nil {
 		t.Fatal(err)
 	}
-	_, misses := e.CacheCounts()
-	if misses == 0 {
-		t.Fatal("warm-up computed nothing")
+	table := append([]*weCalib(nil), e.calib...)
+	for i, ep := range inner.Candidate.Electrodes {
+		if (table[i] == nil) != ep.Blank {
+			t.Fatalf("electrode %s (blank %v) has calibration entry %v", ep.Name, ep.Blank, table[i])
+		}
 	}
 	sample := map[string]float64{"glucose": 1.2, "benzphetamine": 0.3}
 	a, err := e.Run(sample, SampleSeed(9, 0))
@@ -240,9 +290,10 @@ func TestExecutorEndToEnd(t *testing.T) {
 	if same {
 		t.Fatal("different sample seeds produced identical noise draws")
 	}
-	hits, _ := e.CacheCounts()
-	if hits == 0 {
-		t.Fatal("panel runs never hit the warmed cache")
+	for i := range table {
+		if e.calib[i] != table[i] {
+			t.Fatalf("panel runs replaced the warmed calibration of electrode %d", i)
+		}
 	}
 	if _, err := e.Run(map[string]float64{"glucose": math.NaN()}, 1); err == nil {
 		t.Fatal("invalid sample must fail")

@@ -255,11 +255,6 @@ type LabStats struct {
 	// MonitorsRun counts finished monitoring acquisitions (including
 	// failed ones); MonitorFailures the failed subset.
 	MonitorsRun, MonitorFailures uint64
-	// CacheHits/CacheMisses count calibration-cache lookups on the
-	// underlying platform (warm-up computations are the misses).
-	CacheHits, CacheMisses uint64
-	// CacheHitRate is CacheHits over all lookups (0 when none).
-	CacheHitRate float64
 	// WallSeconds spans the first panel start to the last panel end.
 	WallSeconds float64
 	// PanelsPerSecond is PanelsRun over WallSeconds (simulation
@@ -274,10 +269,8 @@ type LabStats struct {
 
 // String renders the snapshot as one report line.
 func (s LabStats) String() string {
-	return fmt.Sprintf("lab: %d workers, %d panels (%d failed), %.1f panels/s wall, cache %.0f%% hit (%d/%d), instrument %.1f panels/h",
-		s.Workers, s.PanelsRun, s.Failures, s.PanelsPerSecond,
-		100*s.CacheHitRate, s.CacheHits, s.CacheHits+s.CacheMisses,
-		s.InstrumentPanelsPerHour)
+	return fmt.Sprintf("lab: %d workers, %d panels (%d failed), %.1f panels/s wall, instrument %.1f panels/h",
+		s.Workers, s.PanelsRun, s.Failures, s.PanelsPerSecond, s.InstrumentPanelsPerHour)
 }
 
 // Stats returns the current aggregate counters.
@@ -286,18 +279,12 @@ func (l *Lab) Stats() LabStats { return l.core.stats(l.workers) }
 // stats snapshots the core's counters as a LabStats for a pool of
 // workers.
 func (c *execCore) stats(workers int) LabStats {
-	hits, misses := c.p.exec.CacheCounts()
 	plan := c.p.inner.Plan
 	st := LabStats{
 		Workers:                 workers,
-		CacheHits:               hits,
-		CacheMisses:             misses,
 		PanelSeconds:            plan.PanelTime(),
 		CycleSeconds:            plan.CycleTime(),
 		InstrumentPanelsPerHour: plan.Throughput(),
-	}
-	if hits+misses > 0 {
-		st.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	c.mu.Lock()
 	st.PanelsRun, st.Failures = c.panels, c.failures
