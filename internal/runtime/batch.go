@@ -207,9 +207,9 @@ func (e *Executor) runWith(s *panelScratch, sample map[string]float64, seed uint
 				TrueMM:            sample[a.Target.Name],
 			})
 		case enzyme.CyclicVoltammetry:
-			// The cached basis stands in for the diffusion simulations;
-			// the per-sample flux scaling pass is computed once per
-			// construction and shared across replicas.
+			// The calibration's basis stands in for the diffusion
+			// simulations; the per-sample flux scaling pass is computed
+			// once per construction and shared across replicas.
 			far, err := s.faradaicFor(eng, ep.Name, cal)
 			if err != nil {
 				return Panel{}, err

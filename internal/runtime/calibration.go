@@ -90,7 +90,7 @@ func NewCVCalib(eng *measure.Engine, weName string, chain *analog.Chain, peaks .
 }
 
 // invertCA converts a baseline-subtracted steady current into a bulk
-// concentration through the cached Michaelis–Menten inversion
+// concentration through the calibration's Michaelis–Menten inversion
 // (C = I·Km/(I_max − I), clamped below saturation).
 func (c *weCalib) invertCA(i phys.Current) phys.Concentration {
 	x := float64(i)

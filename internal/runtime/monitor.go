@@ -235,7 +235,7 @@ type MonitorTrace struct {
 	// analyzed segment's steady−baseline difference.
 	StepMicroAmps float64
 	// EstimatedMM inverts StepMicroAmps through the electrode's factory
-	// calibration (the platform's cached Michaelis–Menten constants).
+	// calibration (the platform's Michaelis–Menten constants).
 	// As the film ages the estimate drifts low — the signal long-term
 	// campaigns recalibrate away.
 	EstimatedMM float64
@@ -293,7 +293,7 @@ func (s *monitorScratch) rig(e *Executor, ep core.ElectrodePlan) (*monitorRig, e
 // platform's chronoamperometric electrode for spec.Target: the
 // electrode's isolated cell is filled with the spec's solution, the
 // film is aged to spec.AgeHours, and the trace is recorded and
-// analyzed. Calibration state comes from the shared cache; the noise
+// analyzed. Calibration state comes from the shared table; the noise
 // stream is seeded by the caller (schedulers derive it from campaign
 // identity via MonitorSeed), so two calls with the same spec and seed
 // are byte-identical on any goroutine, worker, or shard.

@@ -6,9 +6,10 @@
 //     physically plausible, registered species);
 //   - deterministic per-sample seeding (SampleSeed — a splitmix64 mix
 //     of a base seed and the sample index);
-//   - calibration-cache access (the per-electrode inversion constants
-//     and CV calibrations — flux basis, unit peaks, fit plan — computed
-//     once per platform; the hand-held Sensor builds the same CVCalib);
+//   - the calibration table (the per-electrode inversion constants
+//     and CV calibrations — flux basis, unit peaks, fit plan — built
+//     once per platform, one entry per electrode construction that its
+//     replicas share; the hand-held Sensor builds the same CVCalib);
 //   - panel assembly (Executor.Run — protocol dispatch, template
 //     decomposition, replica merging, concentration inversion).
 //
@@ -16,7 +17,7 @@
 // Executor: they add batching, scheduling and statistics but never
 // duplicate execution logic. An Executor is safe for any number of
 // concurrent Run calls — each run builds its own measurement engine
-// and only reads the warmed calibration cache.
+// and only reads the calibration table.
 package runtime
 
 import (
@@ -145,7 +146,7 @@ func SampleSeed(base uint64, idx int) uint64 {
 }
 
 // Run executes one panel: one measurement engine (and so one noise
-// stream) per call, all calibration state served from the cache. Two
+// stream) per call, all calibration state read from the table. Two
 // calls with the same sample and seed produce byte-identical results
 // on any goroutine.
 //

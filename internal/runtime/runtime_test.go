@@ -185,8 +185,6 @@ func TestInvertEffective(t *testing.T) {
 	}
 }
 
-// TestExecutorEndToEnd: an Executor over a designed platform runs a
-// panel deterministically and reports its targets and cache counters.
 // TestCalibrationTableSharesReplicas: the table holds one entry per
 // planned electrode, and replicated electrodes share their
 // construction's entry while distinct constructions get their own.
@@ -235,6 +233,9 @@ func TestCalibrationTableSharesReplicas(t *testing.T) {
 	}
 }
 
+// TestExecutorEndToEnd: an Executor over a designed platform builds
+// its calibration table on Warm, one entry per non-blank electrode,
+// runs a panel deterministically and never rebuilds the table.
 func TestExecutorEndToEnd(t *testing.T) {
 	best, err := core.BestWith(core.Requirements{
 		Targets: []core.TargetSpec{{Species: "glucose"}, {Species: "benzphetamine"}},
