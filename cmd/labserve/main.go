@@ -136,7 +136,7 @@ func splitTargets(s string) []string {
 
 // buildServer designs the platform once and stands the fleet + front
 // door up over n shards of it (shards share the design and its warmed
-// calibration cache). The fleet is returned alongside the server so
+// calibration table). The fleet is returned alongside the server so
 // smokes can inject faults into it.
 func buildServer(targets []string, shards, workers, depth int, seed uint64, router string) (*advdiag.Platform, *advdiag.Fleet, *advdiag.Server, error) {
 	var r advdiag.Router

@@ -24,8 +24,9 @@
 //   - Explore: the raw design-space exploration, returning every scored
 //     candidate and the area/power/latency Pareto front.
 //
-//   - Lab: the batch runner over a designed Platform, with a cached
-//     per-electrode calibration and concurrent panels (RunPanels).
+//   - Lab: the batch runner over a designed Platform, with one
+//     calibration per electrode construction, built once, and
+//     concurrent panels (RunPanels).
 //
 //   - Fleet: the one intake for everything that arrives over time, over
 //     one or many Platforms: sharded queues behind a pluggable Router,

@@ -224,7 +224,7 @@ func WithFleetQueueDepth(n int) FleetOption {
 
 // NewFleet builds a dispatcher over the given designed platforms (one
 // shard each — they may serve different target panels) and starts the
-// shard workers. Every shard's calibration cache is warmed here, so
+// shard workers. Every shard's calibration table is warmed here, so
 // the serving path only ever reads it. The noise seed per-sample
 // streams derive from is the first platform's, so a Lab over that
 // platform produces byte-identical results.

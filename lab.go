@@ -60,7 +60,7 @@ type PanelOutcome struct {
 // (NewEngine is cheap), seeded deterministically from the platform seed
 // and the sample index, honouring the one-engine-per-goroutine
 // contract. No mutable state is shared between in-flight panels except
-// the read-only calibration cache and the stats counters, so results
+// the read-only calibration table and the stats counters, so results
 // are byte-identical at any worker count — PanelResult.Fingerprint
 // proves it.
 //
@@ -83,11 +83,11 @@ func WithLabWorkers(n int) LabOption {
 	return func(l *Lab) { l.workers = n }
 }
 
-// NewLab builds a Lab over a designed platform and warms the
-// calibration cache: every electrode's calibration state (including the
-// expensive unit-template diffusion simulations for voltammetric
-// electrodes) is computed here, once, so the serving path only ever
-// reads it.
+// NewLab builds a Lab over a designed platform and warms its
+// calibration table: every electrode construction's calibration state
+// (including the expensive unit-template diffusion simulations for
+// voltammetric electrodes) is computed here, once per platform, so the
+// serving path only ever reads it.
 func NewLab(p *Platform, opts ...LabOption) (*Lab, error) {
 	if p == nil || p.inner == nil {
 		return nil, fmt.Errorf("advdiag: NewLab needs a designed platform")
@@ -166,7 +166,7 @@ type execCore struct {
 	lastEnd         time.Time
 }
 
-// newExecCore warms the platform's calibration cache and returns a core
+// newExecCore warms the platform's calibration table and returns a core
 // that seeds panels from seed.
 func newExecCore(p *Platform, seed uint64) (*execCore, error) {
 	if err := p.exec.Warm(); err != nil {

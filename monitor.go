@@ -57,7 +57,7 @@ type MonitorResult struct {
 	// EstimatedMM inverts StepMicroAmps through the electrode's factory
 	// calibration. Only service runs (Lab/Fleet monitor requests) set
 	// it; a hand-held Sensor.Monitor reports 0 — the Sensor carries no
-	// platform calibration cache.
+	// platform calibration.
 	EstimatedMM float64
 }
 

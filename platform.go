@@ -20,7 +20,7 @@ type Platform struct {
 	seed    uint64
 	explore core.ExploreOptions
 	// exec is the shared panel-execution engine (internal/runtime): it
-	// owns sample validation, seeding, the calibration cache and panel
+	// owns sample validation, seeding, the calibration table and panel
 	// assembly. RunPanel, the Lab and the Fleet all delegate to it.
 	exec *rt.Executor
 }
@@ -59,8 +59,9 @@ func WithExploreWorkers(n int) PlatformOption {
 }
 
 // WithReplicas replicates the full sensor set k times (the paper's §II
-// sensor array): replicate readings are averaged, cutting uncorrelated
-// blank noise by √k at the cost of k× electrode area and panel time.
+// sensor array): replicate readings are averaged, on every technique,
+// cutting uncorrelated blank noise by √k at the cost of k× electrode
+// area and panel time.
 func WithReplicas(k int) PlatformOption {
 	return func(r *core.Requirements, _ *Platform) { r.Replicas = k }
 }
@@ -229,7 +230,8 @@ func (pr PanelResult) Fingerprint() uint64 {
 // must be registered; anything else is an error before the instrument
 // is touched. For batches or streaming use a Lab; for multi-platform
 // dispatch use a Fleet — both run the same execution engine and share
-// this platform's calibration cache.
+// this platform's calibration table, built once by whichever comes
+// first.
 func (p *Platform) RunPanel(sample map[string]float64) (PanelResult, error) {
 	res, err := p.exec.Run(sample, p.seed)
 	if err != nil {
