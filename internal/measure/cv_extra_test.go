@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"advdiag/internal/analog"
@@ -196,5 +197,53 @@ func TestCVBasisGridMatchesRunGrid(t *testing.T) {
 	}
 	if _, err := eng.CVFluxBasis("WE1", proto, nil); err == nil {
 		t.Fatal("CVFluxBasis accepted a nil chain")
+	}
+}
+
+// TestCVBasisServesSameIsoform: a basis depends on its electrode only
+// through the isoform it simulated, so a replica carrying the same
+// isoform runs on it bit for bit as on its own basis, while an
+// electrode with another isoform is refused, naming both electrodes.
+func TestCVBasisServesSameIsoform(t *testing.T) {
+	cyp2b4 := assayFor(t, "benzphetamine", enzyme.CyclicVoltammetry)
+	cyp2e1 := assayFor(t, "p-nitrophenol", enzyme.CyclicVoltammetry)
+	var peaks []phys.Voltage
+	for _, b := range cyp2b4.CYP.Bindings {
+		peaks = append(peaks, b.PeakPotential)
+	}
+	start, vertex := CVWindowFor(peaks...)
+	proto := CyclicVoltammetry{Start: start, Vertex: vertex}
+	run := func(basisWE string) (*CVResult, *Engine, *CVBasis) {
+		sol := cell.NewSolution().Set("benzphetamine", phys.MilliMolar(1)).Set("aminopyrine", phys.MilliMolar(4))
+		c := cell.NewSingleChamber(sol,
+			electrode.NewWorking("WE1", electrode.Bare, cyp2b4),
+			electrode.NewWorking("WE2", electrode.Bare, cyp2b4),
+			electrode.NewWorking("WE3", electrode.Bare, cyp2e1),
+			electrode.NewReference("RE1"), electrode.NewCounter("CE1"))
+		eng, err := NewEngine(c, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain := analog.NewNanoChain(nil, eng.RNG())
+		basis, err := eng.CVFluxBasis(basisWE, proto, chain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.RunCVWithBasis("WE2", chain, proto, basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, eng, basis
+	}
+	own, _, _ := run("WE2")
+	shared, eng, basis := run("WE1")
+	for i, v := range own.Recorded.Values {
+		if math.Float64bits(v) != math.Float64bits(shared.Recorded.Values[i]) {
+			t.Fatalf("recorded[%d]: own basis %g, WE1's basis %g", i, v, shared.Recorded.Values[i])
+		}
+	}
+	_, err := eng.RunCVWithBasis("WE3", analog.NewNanoChain(nil, eng.RNG()), proto, basis)
+	if err == nil || !strings.Contains(err.Error(), "WE1") || !strings.Contains(err.Error(), "WE3") {
+		t.Fatalf("WE1's CYP2B4 basis on the CYP2E1 electrode WE3: err %v, want a refusal naming both", err)
 	}
 }
