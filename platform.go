@@ -230,8 +230,8 @@ func (pr PanelResult) Fingerprint() uint64 {
 // must be registered; anything else is an error before the instrument
 // is touched. For batches or streaming use a Lab; for multi-platform
 // dispatch use a Fleet — both run the same execution engine and share
-// this platform's calibration table, built once by whichever comes
-// first.
+// this platform's calibration table, built once by whichever of them
+// runs first.
 func (p *Platform) RunPanel(sample map[string]float64) (PanelResult, error) {
 	res, err := p.exec.Run(sample, p.seed)
 	if err != nil {
