@@ -76,7 +76,7 @@ func TestRunMonitorAllocCeiling(t *testing.T) {
 		{ID: "injection", Target: "lactate", ConcentrationMM: 1.2, DurationSeconds: 30, Polymer: true,
 			Injections: []advdiag.InjectionEvent{{AtSeconds: 15, DeltaMM: 0.6}}},
 	} {
-		if out := lab.RunMonitor(req); out.Err != nil { // warm the calibration cache and the scratch
+		if out := lab.RunMonitor(req); out.Err != nil { // warm the monitor scratch
 			t.Fatal(out.Err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {

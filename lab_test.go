@@ -97,7 +97,7 @@ func TestLabDeterminismAcrossWorkerCounts(t *testing.T) {
 
 // TestLabRepeatRunsAreIdentical: running the same batch twice through
 // two different Labs over one platform gives identical bytes (the
-// calibration cache and per-sample seeding are both pure).
+// calibration table and per-sample seeding are both pure).
 func TestLabRepeatRunsAreIdentical(t *testing.T) {
 	p := labPlatform(t)
 	samples := labCohort(8)
@@ -165,8 +165,8 @@ func TestOneShardFleetStreamingMatchesLab(t *testing.T) {
 }
 
 // TestLabStatsAndCache checks the service counters: panels counted,
-// failures isolated per sample, calibration cache measurably hitting,
-// and the schedule-derived timing populated.
+// failures isolated per sample, the platform's calibration read the
+// same by a second Lab, and the schedule-derived timing populated.
 func TestLabStatsAndCache(t *testing.T) {
 	p := labPlatform(t)
 	lab, err := advdiag.NewLab(p, advdiag.WithLabWorkers(2))

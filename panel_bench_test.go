@@ -61,7 +61,7 @@ func BenchmarkRunMonitorTick(b *testing.B) {
 	}
 	req := advdiag.MonitorRequest{ID: "bench", Target: "glucose", ConcentrationMM: 2,
 		DurationSeconds: 30, BaselineSeconds: 5, AgeHours: 36}
-	if out := lab.RunMonitor(req); out.Err != nil { // warm the calibration cache
+	if out := lab.RunMonitor(req); out.Err != nil { // warm the monitor scratch
 		b.Fatal(out.Err)
 	}
 	b.ReportAllocs()

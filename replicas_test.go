@@ -133,9 +133,9 @@ func TestReplicaBlankNoiseScalesAsRootK(t *testing.T) {
 
 // TestColdPlatformConcurrentRuns races the first panels of a freshly
 // designed platform, whose calibration is not yet built, against each
-// other and against Fleet.AddShard of the same platform while the
-// fleet serves live traffic on another shard. Every run of one sample
-// must read the same.
+// other and against Fleet.AddShard of the same platform, while the
+// fleet serves live traffic and a second shard of its live platform
+// joins. Every run of one sample must read the same.
 func TestColdPlatformConcurrentRuns(t *testing.T) {
 	live, err := advdiag.DesignPlatform([]string{"glucose", "benzphetamine"}, advdiag.WithPlatformSeed(9))
 	if err != nil {
@@ -155,7 +155,7 @@ func TestColdPlatformConcurrentRuns(t *testing.T) {
 	const runners = 4
 	var wg sync.WaitGroup
 	prints := make([]uint64, runners)
-	errs := make([]error, runners+2)
+	errs := make([]error, runners+3)
 	for i := range runners {
 		wg.Add(1)
 		go func() {
@@ -168,7 +168,7 @@ func TestColdPlatformConcurrentRuns(t *testing.T) {
 			prints[i] = res.Fingerprint()
 		}()
 	}
-	wg.Add(2)
+	wg.Add(3)
 	go func() {
 		defer wg.Done()
 		for _, o := range f.RunPanels(labCohort(16)) {
@@ -181,6 +181,10 @@ func TestColdPlatformConcurrentRuns(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		_, errs[runners+1] = f.AddShard(cold)
+	}()
+	go func() {
+		defer wg.Done()
+		_, errs[runners+2] = f.AddShard(live)
 	}()
 	wg.Wait()
 	for i, err := range errs {

@@ -18,7 +18,7 @@ import (
 
 // servePlatform lazily designs the one platform every server test
 // shares: design-space exploration is the slow part, and a warmed
-// platform can back any number of fleets (the calibration cache is
+// platform can back any number of fleets (the calibration table is
 // read-only at serve time).
 var servePlatform = sync.OnceValues(func() (*advdiag.Platform, error) {
 	return advdiag.DesignPlatform([]string{"glucose", "benzphetamine"},
